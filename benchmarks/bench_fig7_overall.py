@@ -46,7 +46,7 @@ def test_fig7_overall_throughput(benchmark, bench_rows, bench_queries):
         if by_name["tsunami"].avg_points_scanned <= by_name["flood"].avg_points_scanned * 1.10:
             wins += 1
     # Tsunami should also do no more scan work than Flood on most datasets
-    # (at reduced scale one dataset may deviate; EXPERIMENTS.md discusses it).
+    # (at reduced scale one dataset may deviate).
     assert wins >= len(result.data) - 1, "tsunami scans more than flood on most datasets"
 
 

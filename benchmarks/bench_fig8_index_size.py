@@ -4,8 +4,8 @@ The paper reports Tsunami using up to 8x less memory than Flood and 7-170x
 less than the best non-learned index.  At reduced scale the lookup tables no
 longer dominate the per-region model constants, so the check here is the
 weaker shape that both learned indexes stay far smaller than the raw data and
-within a small factor of each other; the absolute sizes per index are printed
-for EXPERIMENTS.md.
+within a small factor of each other; the absolute sizes per index are
+printed.
 """
 
 from benchmarks.conftest import run_once

@@ -46,7 +46,6 @@ def main() -> None:
             merge_threshold=50_000,
         ),
         num_shards=NUM_SHARDS,
-        parallelism=NUM_SHARDS,
     )
     index.build(table, workload)
     info = index.describe()

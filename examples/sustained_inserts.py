@@ -11,7 +11,7 @@ merge cost tracks the size of the write hotspot instead of the table.
 This example streams one million localized inserts through a
 ``LifecycleManager`` loop and prints the updates/sec curve as the table
 grows from 100k to over a million rows — the curve stays roughly flat,
-where the legacy ``merge_strategy="rebuild"`` falls off as 1/n.
+where rebuilding the whole index on every merge falls off as 1/n.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ def main() -> None:
     index = DeltaBufferedIndex(
         lambda: TsunamiIndex(TsunamiConfig(optimizer_iterations=1)),
         merge_threshold=50_000,
-        merge_strategy="local",
     )
     index.build(make_table(BASE_ROWS), make_workload())
     manager = LifecycleManager(index, LifecycleConfig(merge_pressure=0.05))

@@ -7,8 +7,8 @@ records, per index:
 * average per-query wall-clock time and query throughput;
 * machine-independent work counters: average points scanned and cell ranges
   per query (these are what the paper's cost model charges for, and they are
-  what EXPERIMENTS.md compares against the paper since absolute wall-clock on
-  a Python substrate is not meaningful);
+  what to compare against the paper, since absolute wall-clock on a Python
+  substrate is not meaningful);
 * index size in bytes and build time split into data sorting vs optimization
   (the two bar components of Fig. 9b).
 """

@@ -109,7 +109,6 @@ class _Serving:
             return DeltaBufferedIndex(
                 base_index_factory(index_config),
                 merge_threshold=index_config.merge_threshold,
-                merge_strategy=index_config.merge_strategy,
             )
 
         variant = index_config.variant
@@ -123,7 +122,6 @@ class _Serving:
                     lambda: DeltaBufferedIndex(
                         base_index_factory(index_config, index_config.num_shards),
                         merge_threshold=index_config.merge_threshold,
-                        merge_strategy=index_config.merge_strategy,
                     )
                 )
                 if index_config.updatable_shards
@@ -132,7 +130,6 @@ class _Serving:
             index = ShardedIndex(
                 shard_factory,
                 num_shards=index_config.num_shards,
-                parallelism=index_config.parallelism,
                 fault_policy=_degraded_fault_policy() if faulted else None,
             )
         elif variant in ("lifecycle", "served"):

@@ -290,11 +290,7 @@ class IndexConfig:
     optimizer_iterations: int = 2
     page_size: int = 2048
     merge_threshold: int = 1_000_000
-    #: How delta-buffered wrappers fold merges: "local" reorganizes only the
-    #: touched Grid Tree regions, "rebuild" rebuilds the whole wrapped index.
-    merge_strategy: str = "local"
     num_shards: int = 4
-    parallelism: int = 0
     updatable_shards: bool = False
     cache_entries: int = 0
 
@@ -309,13 +305,7 @@ class IndexConfig:
         )
         _require(self.page_size >= 1, f"index.page_size must be >= 1")
         _require(self.merge_threshold >= 1, "index.merge_threshold must be >= 1")
-        _require(
-            self.merge_strategy in ("local", "rebuild"),
-            f"index.merge_strategy must be 'local' or 'rebuild', "
-            f"got {self.merge_strategy!r}",
-        )
         _require(self.num_shards >= 1, "index.num_shards must be >= 1")
-        _require(self.parallelism >= 0, "index.parallelism must be >= 0")
         _require(self.cache_entries >= 0, "index.cache_entries must be >= 0")
 
     @property
@@ -524,9 +514,7 @@ class ScenarioConfig:
                     "optimizer_iterations",
                     "page_size",
                     "merge_threshold",
-                    "merge_strategy",
                     "num_shards",
-                    "parallelism",
                     "updatable_shards",
                     "cache_entries",
                 ],

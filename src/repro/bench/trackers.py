@@ -2,11 +2,9 @@
 
 Each tracker used to live as a standalone script under ``benchmarks/``; the
 scripts are now thin wrappers that load a ``kind: "tracker"`` config from
-``benchmarks/configs/`` and call :func:`tracker_main`.  The measurement
-bodies moved here unchanged — same seeds, same scales, same report keys, and
-the same ``--smoke`` gates — so the historical ``BENCH_*.json`` shapes remain
-byte-compatible while dataset/workload generation is shared instead of being
-copy-pasted per script.
+``benchmarks/configs/`` and call :func:`tracker_main`.  Each keeps its
+script's seeds and scales, and dataset/workload generation is shared instead
+of being copy-pasted per script.
 
 Shared generators (the only place tracker data comes from):
 
@@ -54,7 +52,7 @@ from repro.core.lifecycle import LifecycleConfig, LifecycleManager
 from repro.core.sharding import ShardedIndex, scaled_tsunami_config
 from repro.core.skeleton import Skeleton
 from repro.core.tsunami import TsunamiConfig, TsunamiIndex
-from repro.query.engine import QueryEngine
+from repro.query.engine import QueryEngine, execute_full_scan
 from repro.query.query import Query
 from repro.query.workload import Workload
 from repro.serve import ServingConfig, ServingFrontend
@@ -199,7 +197,12 @@ def selective_queries(num_queries: int, seed: int = 12) -> list[Query]:
 
 
 def bench_planning(num_rows: int, num_queries: int, repeats: int) -> dict:
-    """Plans/sec of both planners on the 64x64x16 grid (no caching involved)."""
+    """Plans/sec of the vectorized planner vs the reference enumeration.
+
+    Runs on the 64x64x16 grid with no plan cache, calling
+    :meth:`~repro.core.augmented_grid.AugmentedGrid.reference_spans` directly
+    for the reference side.
+    """
     _, grid = make_planning_grid(num_rows)
     queries = selective_queries(num_queries)
     results: dict = {
@@ -207,20 +210,20 @@ def bench_planning(num_rows: int, num_queries: int, repeats: int) -> dict:
         "num_rows": num_rows,
         "num_queries": num_queries,
     }
-    for planner in ("reference", "vectorized"):
-        grid.planner = planner
+    planners = {
+        "reference": grid.reference_spans,
+        "vectorized": lambda query: grid.plan(query)[0],
+    }
+    for name, plan in planners.items():
         for query in queries[: min(8, len(queries))]:  # warm-up
-            grid.plan(query)
+            plan(query)
         best = float("inf")
         spans_total = 0
         for _ in range(repeats):
             start = time.perf_counter()
-            spans_total = 0
-            for query in queries:
-                spans, _ = grid.plan(query)
-                spans_total += len(spans)
+            spans_total = sum(len(plan(query)) for query in queries)
             best = min(best, time.perf_counter() - start)
-        results[planner] = {
+        results[name] = {
             "seconds_total": round(best, 6),
             "plans_per_second": round(num_queries / best, 1),
             "avg_spans_per_query": round(spans_total / num_queries, 2),
@@ -233,13 +236,11 @@ def bench_planning(num_rows: int, num_queries: int, repeats: int) -> dict:
     return results
 
 
-def set_planner(index: TsunamiIndex, planner: str) -> None:
-    """Flip every region grid's planner without rebuilding the layout."""
+def clear_plan_caches(index: TsunamiIndex) -> None:
+    """Empty every region grid's plan cache, so each run starts cold."""
     for region in index._regions:
-        if region.grid is not None:
-            region.grid.planner = planner
-            if region.grid.plan_cache is not None:
-                region.grid.plan_cache.clear()
+        if region.grid is not None and region.grid.plan_cache is not None:
+            region.grid.plan_cache.clear()
 
 
 def bench_execution(num_rows: int, num_templates: int, num_queries: int) -> dict:
@@ -257,52 +258,40 @@ def bench_execution(num_rows: int, num_templates: int, num_queries: int) -> dict
         "num_queries": num_queries,
         "batch_size": BATCH_SIZE,
     }
-    narrow_values: list[float] = []
-    narrow_batched: dict = {}
-    for planner in ("reference", "vectorized"):
-        set_planner(index, planner)
-        planner_results = {}
-        for batch in (1, BATCH_SIZE):
-            set_planner(index, planner)  # clears the plan cache between runs
-            total = ScanStats()
-            start = time.perf_counter()
-            if batch == 1:
-                outcomes = [engine.run(query) for query in stream]
-            else:
-                outcomes = engine.run_batch(stream, batch_size=batch)
-            elapsed = time.perf_counter() - start
-            for outcome in outcomes:
-                total.merge(outcome.stats)
-            cache_stats = index.plan_cache_stats()
-            planner_results[f"batch_{batch}"] = {
-                "queries_per_second": round(len(stream) / elapsed, 1),
-                "rows_scanned_per_sec": round(total.points_scanned / elapsed, 1),
-                "seconds_total": round(elapsed, 4),
-                "points_scanned": total.points_scanned,
-                "cell_ranges": total.cell_ranges,
-                "rows_matched": total.rows_matched,
-                "scan_work": total.scan_work,
-                "values_scanned": total.values_scanned,
-                "bytes_scanned": total.bytes_scanned,
-                "plan_cache_hit_rate": round(cache_stats.hit_rate, 4),
-            }
-            if planner == "vectorized" and batch == BATCH_SIZE:
-                narrow_values = [outcome.value for outcome in outcomes]
-                narrow_batched = {
-                    "elapsed": elapsed,
-                    "points": total.points_scanned,
-                    "values": total.values_scanned,
-                    "bytes": total.bytes_scanned,
-                }
-        planner_results["batch_speedup"] = round(
-            planner_results[f"batch_{BATCH_SIZE}"]["queries_per_second"]
-            / planner_results["batch_1"]["queries_per_second"],
-            2,
-        )
-        results[planner] = planner_results
-    results["planner_speedup_batch_1"] = round(
-        results["vectorized"]["batch_1"]["queries_per_second"]
-        / results["reference"]["batch_1"]["queries_per_second"],
+    for batch in (1, BATCH_SIZE):
+        clear_plan_caches(index)
+        total = ScanStats()
+        start = time.perf_counter()
+        if batch == 1:
+            outcomes = [engine.run(query) for query in stream]
+        else:
+            outcomes = engine.run_batch(stream, batch_size=batch)
+        elapsed = time.perf_counter() - start
+        for outcome in outcomes:
+            total.merge(outcome.stats)
+        cache_stats = index.plan_cache_stats()
+        results[f"batch_{batch}"] = {
+            "queries_per_second": round(len(stream) / elapsed, 1),
+            "rows_scanned_per_sec": round(total.points_scanned / elapsed, 1),
+            "seconds_total": round(elapsed, 4),
+            "points_scanned": total.points_scanned,
+            "cell_ranges": total.cell_ranges,
+            "rows_matched": total.rows_matched,
+            "scan_work": total.scan_work,
+            "values_scanned": total.values_scanned,
+            "bytes_scanned": total.bytes_scanned,
+            "plan_cache_hit_rate": round(cache_stats.hit_rate, 4),
+        }
+    narrow_values = [outcome.value for outcome in outcomes]
+    narrow_batched = {
+        "elapsed": elapsed,
+        "points": total.points_scanned,
+        "values": total.values_scanned,
+        "bytes": total.bytes_scanned,
+    }
+    results["batch_speedup"] = round(
+        results[f"batch_{BATCH_SIZE}"]["queries_per_second"]
+        / results["batch_1"]["queries_per_second"],
         2,
     )
     results["storage"] = _bench_storage_baseline(
@@ -331,7 +320,6 @@ def _bench_storage_baseline(
     index = TsunamiIndex(TsunamiConfig(optimizer_iterations=2))
     index.build(int64_table, templates)
     engine = QueryEngine(index=index)
-    set_planner(index, "vectorized")
     total = ScanStats()
     start = time.perf_counter()
     outcomes = engine.run_batch(stream, batch_size=BATCH_SIZE)
@@ -595,19 +583,19 @@ def bench_sustained_inserts(
     merge_threshold: int,
     repeats: int = 3,
 ) -> dict:
-    """Sustained insert rate vs table size, local vs rebuild merge strategy.
+    """Sustained insert rate vs table size through local merges.
 
     The same localized insert stream (merge cadence held constant by a fixed
-    ``merge_threshold``) is pushed through both strategies at ``num_sizes``
-    doubling table sizes.  The rebuild path redoes O(table) work per merge,
-    so its updates/sec falls roughly linearly with size; the local path only
-    reorganizes the regions the hotspot lands in.  Probe queries are executed
-    against both indexes afterwards and must agree bit for bit.
+    ``merge_threshold``) is pushed through a delta-buffered Tsunami index at
+    ``num_sizes`` doubling table sizes.  A local merge only reorganizes the
+    regions the hotspot lands in, so updates/sec should barely fall with
+    size.  Probe queries are then checked against a full scan of the base
+    table plus the inserted rows and must agree bit for bit.
 
-    Each (size, strategy) cell is measured ``repeats`` times on a fresh index
-    and reports the median rate: a single insert run is tens of milliseconds
-    at the small end, where one scheduler hiccup would otherwise dominate the
-    first/last degradation ratio the smoke gate checks.
+    Each size is measured ``repeats`` times on a fresh index and reports the
+    median rate: a single insert run is tens of milliseconds at the small
+    end, where one scheduler hiccup would otherwise dominate the first/last
+    degradation ratio the smoke gate checks.
     """
     sizes = [base_rows * (2**position) for position in range(num_sizes)]
     results: dict = {
@@ -619,60 +607,54 @@ def bench_sustained_inserts(
     mismatches_total = 0
     for num_rows in sizes:
         templates, _ = make_template_stream(16, 1, seed=31, style="localized")
-        # One probe pinned to the insert hotspot so the differential check
-        # always covers rows that arrived through the merge path.
+        # One probe pinned to the insert hotspot so the oracle check always
+        # covers rows that arrived through the merge path.
         probes = [
             *templates,
             Query.from_ranges({"x": (88_000, 94_000), "z": (0, 5_000)}),
         ]
         rows = make_localized_insert_rows(num_inserts, seed=32)
-        entry: dict = {"num_rows": num_rows}
-        executed: dict[str, list] = {}
-        for strategy in ("local", "rebuild"):
-            samples = []
-            for _ in range(repeats):
-                index = DeltaBufferedIndex(
-                    tsunami_factory(1),
-                    merge_threshold=merge_threshold,
-                    merge_strategy=strategy,
-                )
-                index.build(
-                    make_linear_dataset("sustained", num_rows, seed=23), templates
-                )
-                seconds, _ = timed(lambda: index.insert_many(rows))
-                samples.append(seconds)
-            index.merge()
-            seconds = statistics.median(samples)
-            history = index.merge_history
-            entry[strategy] = {
+        samples = []
+        for _ in range(repeats):
+            index = DeltaBufferedIndex(tsunami_factory(1), merge_threshold=merge_threshold)
+            base = make_linear_dataset("sustained", num_rows, seed=23)
+            index.build(base, templates)
+            seconds, _ = timed(lambda: index.insert_many(rows))
+            samples.append(seconds)
+        index.merge()
+        seconds = statistics.median(samples)
+        history = index.merge_history
+        oracle = Table.from_arrays(
+            "oracle",
+            {
+                name: np.concatenate(
+                    [base.values(name), [row[name] for row in rows]]
+                ).astype(np.int64)
+                for name in base.column_names
+            },
+        )
+        mismatches = 0
+        for query in probes:
+            result = index.execute(query)
+            expected, stats = execute_full_scan(oracle, query)
+            if result.value != expected or result.stats.rows_matched != stats.rows_matched:
+                mismatches += 1
+        mismatches_total += mismatches
+        results["sizes"].append(
+            {
+                "num_rows": num_rows,
                 "seconds_total": round(seconds, 4),
                 "rows_per_second": round(num_inserts / seconds, 1),
                 "merges": len(history),
                 "strategies_run": sorted({report.strategy for report in history}),
-                "regions_touched": sum(
-                    report.regions_touched or 0 for report in history
-                ),
+                "regions_touched": sum(report.regions_touched or 0 for report in history),
                 "regions_total": history[-1].regions_total if history else None,
+                "mismatches": mismatches,
             }
-            executed[strategy] = [index.execute(query) for query in probes]
-        entry["mismatches"] = sum(
-            1
-            for local_result, rebuild_result in zip(
-                executed["local"], executed["rebuild"]
-            )
-            if local_result.value != rebuild_result.value
-            or local_result.stats.rows_matched != rebuild_result.stats.rows_matched
         )
-        mismatches_total += entry["mismatches"]
-        entry["local_vs_rebuild"] = round(
-            entry["local"]["rows_per_second"] / entry["rebuild"]["rows_per_second"],
-            2,
-        )
-        results["sizes"].append(entry)
-    for strategy in ("local", "rebuild"):
-        first = results["sizes"][0][strategy]["rows_per_second"]
-        last = results["sizes"][-1][strategy]["rows_per_second"]
-        results[f"{strategy}_degradation"] = round(first / last, 2) if last else None
+    first = results["sizes"][0]["rows_per_second"]
+    last = results["sizes"][-1]["rows_per_second"]
+    results["degradation"] = round(first / last, 2) if last else None
     results["mismatches_total"] = mismatches_total
     return results
 
@@ -714,10 +696,10 @@ def run_tracker_updates(scale: dict, mode: str, seed: int | None) -> tuple[dict,
         )
     if sustained["mismatches_total"] > 0:
         failures.append(
-            "local and rebuild merge strategies disagree on "
+            "local merges disagree with the full-scan oracle on "
             f"{sustained['mismatches_total']} probe query result(s)"
         )
-    degradation = sustained["local_degradation"]
+    degradation = sustained["degradation"]
     if degradation is None or degradation >= 2.0:
         failures.append(
             "local-merge sustained insert rate degrades "
@@ -732,10 +714,8 @@ def run_tracker_updates(scale: dict, mode: str, seed: int | None) -> tuple[dict,
 # ---------------------------------------------------------------------------
 
 
-def bench_batched_throughput(
-    num_rows: int, num_templates: int, num_queries: int, parallelism: int
-) -> dict:
-    """Single index vs sharded-serial vs sharded-parallel on one skewed stream."""
+def bench_batched_throughput(num_rows: int, num_templates: int, num_queries: int) -> dict:
+    """Single index vs sharded index on one skewed stream."""
     templates, stream = make_template_stream(
         num_templates, num_queries, seed=34, style="localized"
     )
@@ -746,20 +726,13 @@ def bench_batched_throughput(
     serial = ShardedIndex(shard_factory(), num_shards=NUM_SHARDS, shard_dimension="x")
     serial.build(make_linear_dataset("sharded", num_rows, seed=33), templates)
 
-    parallel = ShardedIndex(
-        shard_factory(), num_shards=NUM_SHARDS, shard_dimension="x", parallelism=parallelism
-    )
-    parallel.build(make_linear_dataset("sharded", num_rows, seed=33), templates)
-
     engines = {
         "single_batched": QueryEngine(index=single),
         "sharded_serial_batched": QueryEngine(index=serial),
-        "sharded_parallel_batched": QueryEngine(index=parallel),
     }
     results: dict = {
         "num_rows": num_rows,
         "num_shards": NUM_SHARDS,
-        "parallelism": parallelism,
         "num_templates": num_templates,
         "num_queries": num_queries,
         "batch_size": BATCH_SIZE,
@@ -780,16 +753,12 @@ def bench_batched_throughput(
             "seconds_total": round(seconds, 4),
         }
 
-    for label in ("sharded_serial_batched", "sharded_parallel_batched"):
-        for reference, candidate in zip(values["single_batched"], values[label]):
-            assert candidate.value == reference.value, f"{label} diverged from single index"
+    for reference, candidate in zip(values["single_batched"], values["sharded_serial_batched"]):
+        assert candidate.value == reference.value, "sharded index diverged from single index"
 
     single_qps = results["single_batched"]["queries_per_second"]
     results["sharded_serial_vs_single"] = round(
         results["sharded_serial_batched"]["queries_per_second"] / single_qps, 3
-    )
-    results["sharded_parallel_vs_single"] = round(
-        results["sharded_parallel_batched"]["queries_per_second"] / single_qps, 3
     )
     return results
 
@@ -812,7 +781,7 @@ def bench_pruning(num_rows: int, num_templates: int) -> dict:
 
 
 def bench_updatable_shards(
-    num_rows: int, num_inserts: int, num_templates: int, num_queries: int, parallelism: int
+    num_rows: int, num_inserts: int, num_templates: int, num_queries: int
 ) -> dict:
     """The batched path over delta-buffered shards holding pending inserts."""
     templates, stream = make_template_stream(
@@ -821,9 +790,7 @@ def bench_updatable_shards(
     factory = partial(
         DeltaBufferedIndex, shard_factory(), merge_threshold=10 * max(num_inserts, 1)
     )
-    sharded = ShardedIndex(
-        factory, num_shards=NUM_SHARDS, shard_dimension="x", parallelism=parallelism
-    )
+    sharded = ShardedIndex(factory, num_shards=NUM_SHARDS, shard_dimension="x")
     sharded.build(make_linear_dataset("sharded", num_rows, seed=33), templates)
 
     rng = np.random.default_rng(35)
@@ -862,7 +829,6 @@ def run_tracker_shards(scale: dict, mode: str, seed: int | None) -> tuple[dict, 
         num_rows=scale["throughput_rows"],
         num_templates=scale["num_templates"],
         num_queries=scale["num_queries"],
-        parallelism=NUM_SHARDS,
     )
     pruning = bench_pruning(
         num_rows=scale["pruning_rows"], num_templates=scale["num_templates"]
@@ -872,7 +838,6 @@ def run_tracker_shards(scale: dict, mode: str, seed: int | None) -> tuple[dict, 
         num_inserts=scale["num_inserts"],
         num_templates=scale["num_templates"],
         num_queries=scale["updatable_queries"],
-        parallelism=NUM_SHARDS,
     )
     report = {
         "benchmark": "sharded serving layer throughput",
@@ -882,11 +847,11 @@ def run_tracker_shards(scale: dict, mode: str, seed: int | None) -> tuple[dict, 
         "updatable_shards": updatable,
     }
     failures = []
-    if throughput["sharded_parallel_vs_single"] < 1.0:
+    if throughput["sharded_serial_vs_single"] < 1.0:
         failures.append(
-            "sharded-parallel batched throughput regressed below "
+            "sharded batched throughput regressed below "
             f"the single-index baseline "
-            f"({throughput['sharded_parallel_vs_single']}x < 1.0x)"
+            f"({throughput['sharded_serial_vs_single']}x < 1.0x)"
         )
     return report, failures
 
@@ -1163,7 +1128,6 @@ def bench_fault_tolerance(
         shard_factory(1),
         num_shards=NUM_SHARDS,
         shard_dimension="x",
-        parallelism=NUM_SHARDS,
         fault_policy=serving_policy(),
     )
     index.build(make_linear_dataset("faulty", num_rows, seed=43), templates)

@@ -16,15 +16,13 @@ conditional-CDF dependency structure), converted to contiguous cell ranges,
 and either executed against the table or returned as cost-model features —
 the optimizer (§5.3) uses the same planning code on a data sample.
 
-Two planners produce identical spans:
-
-* ``planner="vectorized"`` (default) computes every per-dimension partition
-  window once, expands the cross product of the *outer* dimensions with numpy
-  stride arithmetic, and emits one coalesced span per outer-dimension prefix
-  — cells consecutive in the innermost dimension occupy contiguous physical
-  rows, so no per-cell Python work is needed.
-* ``planner="reference"`` is the original per-cell recursive enumeration,
-  kept for differential testing.
+:meth:`AugmentedGrid.plan` computes every per-dimension partition window
+once, expands the cross product of the *outer* dimensions with numpy stride
+arithmetic, and emits one coalesced span per outer-dimension prefix — cells
+consecutive in the innermost dimension occupy contiguous physical rows, so no
+per-cell Python work is needed.  :meth:`AugmentedGrid.reference_spans` is the
+original per-cell recursive enumeration; it produces identical spans and is
+kept only as the oracle for differential tests and planner benchmarks.
 """
 
 from __future__ import annotations
@@ -115,15 +113,10 @@ class _CellHit:
     exact: bool
 
 
-#: Valid values of :class:`AugmentedGrid`'s ``planner`` argument.
-PLANNERS = ("vectorized", "reference")
-
-
 class AugmentedGrid:
     """A fitted Augmented Grid over one region's rows.
 
-    ``planner`` selects the query-planning implementation (see module
-    docstring); ``plan_cache`` optionally memoizes planned spans under the
+    ``plan_cache`` optionally memoizes planned spans under the
     query's type and quantized (partition-window) bounds so skewed workloads
     reuse plans instead of re-planning.  The cache is cleared by :meth:`fit`
     because spans are offsets into the clustered row order.
@@ -132,12 +125,8 @@ class AugmentedGrid:
     def __init__(
         self,
         config: AugmentedGridConfig,
-        planner: str = "vectorized",
         plan_cache: PlanCache | None = None,
     ) -> None:
-        if planner not in PLANNERS:
-            raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
-        self.planner = planner
         self.plan_cache = plan_cache
         self.config = config.validated()
         self.skeleton = config.skeleton
@@ -313,7 +302,7 @@ class AugmentedGrid:
         self._require_fitted()
         assert self._offsets is not None
         num_appended = appended.num_rows
-        grid = AugmentedGrid(self.config, planner=self.planner, plan_cache=plan_cache)
+        grid = AugmentedGrid(self.config, plan_cache=plan_cache)
         grid._cdf_models = dict(self._cdf_models)
         grid._conditional_models = dict(self._conditional_models)
         grid._strides = dict(self._strides)
@@ -485,7 +474,7 @@ class AugmentedGrid:
         innermost dimension's window then yields at most three spans per
         prefix — the two boundary cells and the exact interior run — because
         consecutive innermost cells are physically contiguous.  Output is
-        byte-identical to the reference recursive planner.
+        byte-identical to :meth:`reference_spans`.
         """
         assert self._offsets is not None
         offsets = self._offsets
@@ -653,11 +642,17 @@ class AugmentedGrid:
         recurse(0, 0, {}, exactness_possible)
         return hits
 
-    def _hits_to_ranges(self, hits: list[_CellHit]) -> list[tuple[int, int, bool]]:
-        """Convert cell hits to coalesced relative row ranges ``(start, stop, exact)``."""
+    def reference_spans(self, query: Query) -> list[tuple[int, int, bool]]:
+        """The spans :meth:`plan` returns, by per-cell recursive enumeration.
+
+        The original planner, about 35x slower than :meth:`plan` and never
+        used for serving: it is the oracle that differential tests and the
+        planning benchmark compare the vectorized planner against.
+        """
+        self._require_fitted()
         assert self._offsets is not None
         spans: list[tuple[int, int, bool]] = []
-        for hit in sorted(hits, key=lambda h: h.cell_id):
+        for hit in sorted(self._enumerate_cells(query), key=lambda h: h.cell_id):
             start = int(self._offsets[hit.cell_id])
             stop = int(self._offsets[hit.cell_id + 1])
             if stop <= start:
@@ -671,18 +666,15 @@ class AugmentedGrid:
     def plan(self, query: Query) -> tuple[list[tuple[int, int, bool]], QueryPlanFeatures]:
         """Plan ``query``: relative row ranges plus cost-model features."""
         self._require_fitted()
-        if self.planner == "reference":
-            spans = self._hits_to_ranges(self._enumerate_cells(query))
-        else:
-            windows = self._window_table(query)
-            if self.plan_cache is not None:
-                key = self._plan_key(query, windows)
-                spans = self.plan_cache.get(key)
-                if spans is None:
-                    spans = self._vectorized_spans(query, windows)
-                    self.plan_cache.put(key, spans)
-            else:
+        windows = self._window_table(query)
+        if self.plan_cache is not None:
+            key = self._plan_key(query, windows)
+            spans = self.plan_cache.get(key)
+            if spans is None:
                 spans = self._vectorized_spans(query, windows)
+                self.plan_cache.put(key, spans)
+        else:
+            spans = self._vectorized_spans(query, windows)
         features = QueryPlanFeatures(
             num_cell_ranges=len(spans),
             points_scanned=sum(stop - start for start, stop, _ in spans),

@@ -14,25 +14,22 @@ one level up, wrapping *any* clustered index in the repository:
   columnar scan of the buffer, so reads always see every insert immediately.
 * Once the buffer reaches ``merge_threshold`` rows (or on an explicit
   :meth:`merge` call), the buffered rows are folded into the table — the
-  "periodic merge" of the differential-file technique the paper cites.  How
-  the fold happens is controlled by ``merge_strategy``:
+  "periodic merge" of the differential-file technique the paper cites.  The
+  wrapped index decides how the fold happens:
 
-  * ``"local"`` (the default): when the wrapped index is a built
-    :class:`~repro.core.tsunami.TsunamiIndex`, the merge routes buffered rows
-    to their owning Grid Tree regions and reorganizes *only the touched
-    regions* (see :mod:`repro.core.local_merge`) — regions whose pending-row
-    fraction stays at or under ``split_threshold`` absorb the rows with an
-    in-place re-sort of just their row range, overflowing (or previously
-    empty) regions get a locally re-optimized grid.  Untouched regions keep
-    their rows, grids, and plan caches, so sustained-insert cost scales with
-    the rows that moved, not with the table.  Any other wrapped index falls
-    back to the global rebuild below (recorded as ``strategy="rebuild"`` in
-    the :class:`MergeReport`).
-  * ``"rebuild"``: the original global path — concatenate the buffer onto
-    the table and rebuild the whole wrapped index from scratch.  Kept as an
-    escape hatch and as the differential-testing oracle: query results after
-    any insert/merge interleaving are bit-identical between the two
-    strategies.
+  * A built :class:`~repro.core.tsunami.TsunamiIndex` merges *locally*: the
+    buffered rows are routed to their owning Grid Tree regions and *only the
+    touched regions* are reorganized (see :mod:`repro.core.local_merge`) —
+    regions whose pending-row fraction stays at or under
+    :data:`~repro.core.local_merge.DEFAULT_SPLIT_THRESHOLD` absorb the rows
+    with an in-place re-sort of just their row range, overflowing (or
+    previously empty) regions get a locally re-optimized grid.  Untouched
+    regions keep their rows, grids, and plan caches, so sustained-insert cost
+    scales with the rows that moved, not with the table.
+  * Any other wrapped index *rebuilds*: the buffer is concatenated onto the
+    table and the whole wrapped index is rebuilt from scratch.  Query results
+    after any insert/merge interleaving are bit-identical between the two
+    paths.
 
 The wrapper implements the full serving contract of
 :class:`~repro.baselines.base.ClusteredIndex` — ``is_built`` / ``table`` /
@@ -68,11 +65,7 @@ from repro.baselines.base import (
 )
 from repro.common import faults
 from repro.common.errors import IndexBuildError, QueryError, SchemaError
-from repro.core.local_merge import (
-    DEFAULT_SPLIT_THRESHOLD,
-    local_merge,
-    supports_local_merge,
-)
+from repro.core.local_merge import local_merge, supports_local_merge
 from repro.query.query import Query
 from repro.query.workload import Workload
 from repro.storage.column import Column
@@ -86,19 +79,14 @@ IndexFactory = Callable[[], ClusteredIndex]
 MIN_BUFFER_CAPACITY = 64
 
 
-#: Valid values of ``DeltaBufferedIndex.merge_strategy``.
-MERGE_STRATEGIES = ("local", "rebuild")
-
-
 @dataclass
 class MergeReport:
     """Outcome of folding the delta buffer into the main index.
 
-    ``strategy`` records the path that actually ran (a ``"local"`` request
-    falls back to ``"rebuild"`` when the wrapped index has no region layout);
-    ``regions_touched`` / ``regions_total`` are filled by local merges only.
-    ``rebuild_seconds`` keeps its historical name and times whichever
-    reorganization ran.
+    ``strategy`` records the path that ran (``"local"``, or ``"rebuild"``
+    when the wrapped index has no region layout); ``regions_touched`` /
+    ``regions_total`` are filled by local merges only.  ``rebuild_seconds``
+    keeps its historical name and times whichever reorganization ran.
     """
 
     rows_merged: int
@@ -304,16 +292,6 @@ class DeltaBufferedIndex:
         Number of buffered rows at which inserts trigger an automatic merge.
         ``0`` merges after every insert call; use a large value to manage
         merges manually via :meth:`merge`.
-    merge_strategy:
-        ``"local"`` (default) reorganizes only the Grid Tree regions whose
-        rows changed when the wrapped index supports it, falling back to the
-        global rebuild otherwise; ``"rebuild"`` always rebuilds the whole
-        wrapped index (the pre-localized behavior, kept as an escape hatch
-        and differential-testing oracle).
-    split_threshold:
-        Pending-row fraction above which a local merge re-optimizes a
-        region's grid (a "local split") instead of absorbing the rows into
-        its fitted grid.  Ignored by the rebuild strategy.
     """
 
     name = "delta-buffered"
@@ -322,25 +300,11 @@ class DeltaBufferedIndex:
         self,
         index_factory: IndexFactory,
         merge_threshold: int = 10_000,
-        *,
-        merge_strategy: str = "local",
-        split_threshold: float = DEFAULT_SPLIT_THRESHOLD,
     ) -> None:
         if merge_threshold < 0:
             raise ValueError(f"merge_threshold must be >= 0, got {merge_threshold}")
-        if merge_strategy not in MERGE_STRATEGIES:
-            raise ValueError(
-                f"merge_strategy must be one of {MERGE_STRATEGIES}, "
-                f"got {merge_strategy!r}"
-            )
-        if not 0 <= split_threshold:
-            raise ValueError(
-                f"split_threshold must be >= 0, got {split_threshold}"
-            )
         self._index_factory = index_factory
         self.merge_threshold = merge_threshold
-        self.merge_strategy = merge_strategy
-        self.split_threshold = split_threshold
         self._index: ClusteredIndex | None = None
         self._workload: Workload | None = None
         self._buffer: DeltaBuffer | None = None
@@ -480,15 +444,19 @@ class DeltaBufferedIndex:
     # -- merging ----------------------------------------------------------------------
 
     def merge(self) -> MergeReport | None:
-        """Fold every pending insert into the table via ``merge_strategy``.
+        """Fold every pending insert into the table.
 
-        Returns the merge report, or ``None`` if the buffer was empty.  With
-        ``merge_strategy="local"`` and a wrapped index that supports it, only
-        the regions whose rows changed are reorganized (see
-        :mod:`repro.core.local_merge`); otherwise the whole wrapped index is
-        rebuilt.  Either way a merge that fails mid-way leaves the index
+        Returns the merge report, or ``None`` if the buffer was empty.  When
+        :func:`~repro.core.local_merge.supports_local_merge` holds for the
+        wrapped index, only the regions whose rows changed are reorganized
+        (see :mod:`repro.core.local_merge`); otherwise the whole wrapped index
+        is rebuilt.  Either way a merge that fails mid-way leaves the index
         serving the old table with the buffer intact.
         """
+        return self._merge(local=supports_local_merge(self._require_built()))
+
+    def _merge(self, *, local: bool) -> MergeReport | None:
+        """The body of :meth:`merge`; ``local=False`` takes the rebuild path."""
         index = self._require_built()
         assert self._buffer is not None
         pending = self.num_pending
@@ -496,14 +464,12 @@ class DeltaBufferedIndex:
             return None
         faults.trigger("delta.merge")
         start = time.perf_counter()
-        if self.merge_strategy == "local" and supports_local_merge(index):
+        if local:
             buffer_columns = {
                 name: self._buffer.column(name)
                 for name in index.table.column_names
             }
-            outcome = local_merge(
-                index, buffer_columns, split_threshold=self.split_threshold
-            )
+            outcome = local_merge(index, buffer_columns)
             report = MergeReport(
                 rows_merged=pending,
                 rebuild_seconds=time.perf_counter() - start,
@@ -647,7 +613,6 @@ class DeltaBufferedIndex:
             plan["cell_ranges"] += 1
             plan["rows_to_scan"] += pending
         plan["table_fraction_scanned"] = plan["rows_to_scan"] / max(self.num_rows, 1)
-        plan["merge_strategy"] = self.merge_strategy
         if self._merges:
             last = self._merges[-1]
             plan["last_merge"] = {
@@ -669,8 +634,6 @@ class DeltaBufferedIndex:
             "name": self.name,
             "pending_inserts": self.num_pending,
             "merge_threshold": self.merge_threshold,
-            "merge_strategy": self.merge_strategy,
-            "split_threshold": self.split_threshold,
             "num_merges": len(self._merges),
             "total_rows": self.num_rows,
             "base_index": self._require_built().describe(),

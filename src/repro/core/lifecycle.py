@@ -198,17 +198,15 @@ class LifecycleManager:
     def run(self, query: Query) -> QueryResult:
         """Answer one query and observe it."""
         result = self.index.execute(query)
-        self._report.queries_served += 1
-        self._observe([query])
+        self._observe([query], served=True)
         return result
 
     def run_batch(self, queries: Sequence[Query]) -> list[QueryResult]:
         """Answer a batch through the batched pipeline and observe it."""
         queries = list(queries)
         results = self.index.execute_batch(queries)
-        self._report.queries_served += len(queries)
         self._report.batches_served += 1
-        self._observe(queries)
+        self._observe(queries, served=True)
         return results
 
     def observe(self, queries: Sequence[Query]) -> None:
@@ -221,9 +219,7 @@ class LifecycleManager:
         subject to the same windowing — a full window may trigger the same
         maintenance a served window would.
         """
-        queries = list(queries)
-        if queries:
-            self._observe(queries)
+        self._observe(list(queries), served=False)
 
     def insert(self, row) -> None:
         """Insert one row, merging if buffer pressure demands it."""
@@ -310,14 +306,28 @@ class LifecycleManager:
                 self._detector = self._detector.refit(workload, base.table)
         return True
 
-    def _observe(self, queries: Sequence[Query]) -> None:
+    def _observe(self, queries: list[Query], *, served: bool) -> None:
+        """Window ``queries`` for drift detection, counting them if ``served``.
+
+        Served queries are counted window by window, so the events a window
+        fires are stamped with the query count at which that window closed,
+        not with the count after the whole batch.
+        """
         if self._detector is None:
+            if served:
+                self._report.queries_served += len(queries)
             return
-        self._window.extend(queries)
-        while len(self._window) >= self.config.observe_window:
-            window = self._window[: self.config.observe_window]
-            del self._window[: self.config.observe_window]
-            self._evaluate_window(window)
+        window_size = self.config.observe_window
+        position = 0
+        while position < len(queries):
+            take = min(window_size - len(self._window), len(queries) - position)
+            self._window.extend(queries[position : position + take])
+            position += take
+            if served:
+                self._report.queries_served += take
+            if len(self._window) >= window_size:
+                window, self._window = self._window, []
+                self._evaluate_window(window)
 
     def _evaluate_window(self, window: list[Query]) -> None:
         assert self._detector is not None

@@ -20,8 +20,8 @@ The merge runs in two phases:
    that overflows a narrow column widens exactly that column — matching the
    rebuild path bit for bit), and every touched region is locally re-sorted:
 
-   * Regions whose pending-row fraction stays at or under ``split_threshold``
-     *absorb* the rows — the region's fitted grid folds them in via
+   * Regions whose pending-row fraction stays at or under
+     :data:`DEFAULT_SPLIT_THRESHOLD` *absorb* the rows — the region's fitted grid folds them in via
      :meth:`~repro.core.augmented_grid.AugmentedGrid.absorb` (only the new
      rows are assigned to cells; existing rows keep their cells under the
      carried-over CDF models, and functional mappings get bound-widened
@@ -68,8 +68,8 @@ from repro.storage.column import Column, StorageMeta
 from repro.storage.scan import ScanExecutor
 from repro.storage.table import Table
 
-#: Default pending-row fraction above which a touched region is re-optimized
-#: (a "local split") instead of refitting its existing grid configuration.
+#: Pending-row fraction above which a touched region is re-optimized (a
+#: "local split") instead of absorbing the rows into its fitted grid.
 DEFAULT_SPLIT_THRESHOLD = 0.5
 
 
@@ -176,8 +176,6 @@ def _widened_bounds(
 def local_merge(
     index: TsunamiIndex,
     buffer_columns: Mapping[str, np.ndarray],
-    *,
-    split_threshold: float = DEFAULT_SPLIT_THRESHOLD,
 ) -> LocalMergeResult:
     """Fold buffered rows into ``index`` by reorganizing only touched regions.
 
@@ -228,7 +226,7 @@ def local_merge(
             math.inf
             if region.num_rows == 0
             else len(new_rows) / region.num_rows
-        ) > split_threshold
+        ) > DEFAULT_SPLIT_THRESHOLD
         result = None
         if overflow:
             int_bounds = {
@@ -284,9 +282,7 @@ def local_merge(
             if grid is None:
                 # Local split (or a region without a reusable fitted grid):
                 # refit from scratch over the merged region rows.
-                grid = AugmentedGrid(
-                    config, planner=index.config.planner, plan_cache=plan_cache
-                )
+                grid = AugmentedGrid(config, plan_cache=plan_cache)
                 region_subset = merged_table.subset(
                     np.arange(start, stop),
                     name=f"{merged_table.name}_r{region.node.region_id}",

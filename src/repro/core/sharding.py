@@ -20,17 +20,18 @@ implements that layer on top of the existing serving contract:
   any pending inserts in a delta shard's buffer); shards whose box misses the
   query rectangle are skipped entirely.
 * **Fan-out.**  ``execute_batch`` dedupes the batch into distinct templates,
-  hands every shard the templates that intersect its box — optionally on a
-  ``ThreadPoolExecutor`` (``parallelism=``; numpy gathers release the GIL) —
-  and recombines the per-shard partials through
-  :func:`~repro.baselines.base.combine_partial_results`.  Results are
+  hands every shard the templates that intersect its box, serving shards one
+  after another on the calling thread, and recombines the per-shard partials
+  through :func:`~repro.baselines.base.combine_partial_results`.  Results are
   bit-identical to single-index execution, in input order: partial sums are
   exact integer sums in float64 and are accumulated in shard order.
+  Planning is Python-bound, so worker threads only contend for the GIL; a
+  worker pool runs solely to enforce a shard timeout.
 * **Fault isolation.**  Each shard call runs behind a
   :class:`~repro.common.resilience.FaultPolicy`: an optional per-shard
-  execution timeout (enforced on the worker pool, so a hung shard cannot
-  stall the batch), bounded retry with exponential backoff and seeded jitter
-  for transient failures, and a per-shard
+  execution timeout (enforced on a worker pool with one thread per shard, so
+  a hung shard cannot stall the batch), bounded retry with exponential
+  backoff and seeded jitter for transient failures, and a per-shard
   :class:`~repro.common.resilience.CircuitBreaker` that stops sending work to
   a shard that keeps failing (open after N consecutive failures, half-open
   probe after a cooldown; state is visible in :meth:`ShardedIndex.explain`).
@@ -192,10 +193,6 @@ class ShardedIndex:
     shard_dimension:
         Column to range-partition on.  ``None`` picks the dimension the build
         workload filters most often (falling back to the first column).
-    parallelism:
-        Maximum worker threads fanning ``execute_batch`` out across shards;
-        ``0`` or ``1`` executes shards serially on the calling thread (unless
-        a shard timeout forces the pool — see ``fault_policy``).
     fault_policy:
         Per-shard timeout / retry / circuit-breaker / degradation behavior
         (see :class:`~repro.common.resilience.FaultPolicy`).  The default
@@ -210,17 +207,13 @@ class ShardedIndex:
         index_factory: ShardFactory,
         num_shards: int = 4,
         shard_dimension: str | None = None,
-        parallelism: int = 0,
         fault_policy: FaultPolicy | None = None,
     ) -> None:
         if num_shards < 1:
             raise IndexBuildError(f"num_shards must be >= 1, got {num_shards}")
-        if parallelism < 0:
-            raise IndexBuildError(f"parallelism must be >= 0, got {parallelism}")
         self._index_factory = index_factory
         self.num_shards = num_shards
         self.shard_dimension = shard_dimension
-        self.parallelism = parallelism
         self.fault_policy = fault_policy or FaultPolicy()
         self.fault_stats = FanOutStats()
         self._table: Table | None = None
@@ -303,16 +296,10 @@ class ShardedIndex:
         shards: Sequence,
         dimension: str,
         boundaries: Sequence[int],
-        parallelism: int,
         table_name: str,
     ) -> "ShardedIndex":
         """Reassemble a sharded index from already-loaded shards (persistence)."""
-        index = cls(
-            index_factory,
-            num_shards=max(len(shards), 1),
-            shard_dimension=dimension,
-            parallelism=parallelism,
-        )
+        index = cls(index_factory, num_shards=max(len(shards), 1), shard_dimension=dimension)
         index._shards = list(shards)
         index._dimension = dimension
         index._boundaries = np.asarray(boundaries, dtype=np.int64)
@@ -498,28 +485,17 @@ class ShardedIndex:
         )
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
-        """The fan-out worker pool, created lazily and reused across batches.
+        """The timeout worker pool, created lazily and reused across batches.
 
-        Spawning threads per batch would dominate small batches; numpy
-        gathers and filter masks release the GIL, so shard batches overlap on
-        multi-core hosts.  When a shard timeout is configured the pool is
-        sized to run every shard concurrently (capped), so one hung shard
-        cannot queue-block the others into spurious timeouts.
+        It has one worker per shard, so one hung shard cannot queue-block the
+        others into spurious timeouts.
         """
         with self._pool_lock:
             if self._pool is None:
-                workers = max(self.parallelism, 1)
-                if self.fault_policy.shard_timeout_seconds is not None:
-                    workers = max(workers, len(self._shards))
                 self._pool = ThreadPoolExecutor(
-                    max_workers=min(workers, 32), thread_name_prefix="shard"
+                    max_workers=max(len(self._shards), 1), thread_name_prefix="shard"
                 )
             return self._pool
-
-    def _use_pool(self, num_tasks: int) -> bool:
-        if self.fault_policy.shard_timeout_seconds is not None:
-            return True
-        return self.parallelism > 1 and num_tasks > 1
 
     def _execute_wave(
         self, tasks: list, run_task
@@ -527,24 +503,23 @@ class ShardedIndex:
         """Run one attempt over ``tasks``; returns (successes, failures).
 
         Each task touches exactly one shard, so shard-local mutable state
-        (plan caches, scan stats) is never shared across workers.  With a
-        shard timeout configured, tasks run on the pool and each must finish
-        within ``shard_timeout_seconds`` of the wave start (they run
-        concurrently under that shared deadline); a worker that overruns is
-        abandoned — Python threads cannot be killed — and its shard accounted
-        as timed out.
+        (plan caches, scan stats) is never shared across workers.  Without a
+        shard timeout, tasks run serially on the calling thread.  With one,
+        tasks run on the pool and each must finish within
+        ``shard_timeout_seconds`` of the wave start (they run concurrently
+        under that shared deadline); a worker that overruns is abandoned —
+        Python threads cannot be killed — and its shard accounted as timed
+        out.
         """
         timeout = self.fault_policy.shard_timeout_seconds
         successes: list[tuple[int, list]] = []
         failures: list[tuple[int, BaseException]] = []
-        if self._use_pool(len(tasks)):
+        if timeout is not None:
             pool = self._ensure_pool()
             futures = [(task[0], pool.submit(run_task, task)) for task in tasks]
-            deadline = None if timeout is None else time.monotonic() + timeout
+            deadline = time.monotonic() + timeout
             for position, future in futures:
-                remaining = (
-                    None if deadline is None else max(deadline - time.monotonic(), 0.0)
-                )
+                remaining = max(deadline - time.monotonic(), 0.0)
                 try:
                     successes.append((position, future.result(remaining)))
                 except FutureTimeoutError:
@@ -688,14 +663,14 @@ class ShardedIndex:
         )
 
     def close(self) -> None:
-        """Shut down the fan-out worker pool (idempotent).
+        """Shut down the timeout worker pool (idempotent).
 
         Long-running servers would otherwise leak the persistent pool's
         threads on every index they retire.  Safe to call while a batch is in
         flight (the shutdown waits for in-flight shard tasks, and the fan-out
         holds its own pool reference), and safe to call repeatedly.  The
-        index remains usable after closing: the next threaded batch lazily
-        recreates the pool.  The serving front-end's shutdown path calls this
+        index remains usable after closing: the next timeout-guarded batch
+        lazily recreates the pool.  The serving front-end's shutdown path calls this
         through :meth:`~repro.query.engine.QueryEngine.close`.
         """
         with self._pool_lock:
@@ -727,8 +702,7 @@ class ShardedIndex:
 
         The batch is deduped into distinct templates; every shard receives
         the templates intersecting its bounding box and serves them through
-        its own batched pipeline (shard batches run concurrently when
-        ``parallelism > 1``).  Per-shard partials are recombined in shard
+        its own batched pipeline.  Per-shard partials are recombined in shard
         order, so results are bit-identical to per-query :meth:`execute`, in
         input order.  Shard failures follow the fault policy's degradation
         mode, as in :meth:`execute` (strict mode attaches the full batch's
@@ -806,12 +780,8 @@ class ShardedIndex:
             "num_shards": len(self._shards),
             "shard_dimension": self._dimension,
             "boundaries": self.boundaries,
-            "parallelism": self.parallelism,
             "total_rows": self.num_rows,
             "pending_inserts": self.num_pending,
-            # Updatable shards merge independently (a hot shard's merge never
-            # touches a cold shard); surface the strategy their buffers use.
-            "merge_strategy": getattr(self._shards[0], "merge_strategy", None),
             "rows_per_shard": [
                 getattr(shard, "num_rows", None) or shard.table.num_rows
                 for shard in self._shards

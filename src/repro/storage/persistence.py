@@ -256,8 +256,6 @@ def _save_delta_index(index, path: Path) -> Path:
         "format_version": FORMAT_VERSION,
         "kind": "delta",
         "merge_threshold": index.merge_threshold,
-        "merge_strategy": index.merge_strategy,
-        "split_threshold": index.split_threshold,
         "pending_rows": index.num_pending,
     }
     with open(path / _DELTA_MANIFEST, "w", encoding="utf-8") as handle:
@@ -267,21 +265,14 @@ def _save_delta_index(index, path: Path) -> Path:
 
 
 def _load_delta_index(path: Path, mmap_mode: str | None):
-    from repro.core.delta import DEFAULT_SPLIT_THRESHOLD, DeltaBuffer, DeltaBufferedIndex
+    from repro.core.delta import DeltaBuffer, DeltaBufferedIndex
 
+    # Older manifests may also carry ``merge_strategy`` / ``split_threshold``;
+    # merges now pick their path from the wrapped index, so those are ignored.
     manifest = _read_manifest(path, _DELTA_MANIFEST)
     wrapped = load_index(path / _DELTA_MAIN_DIR, mmap_mode=mmap_mode)
     factory = _load_factory(path) or _fallback_factory(wrapped)
-    index = DeltaBufferedIndex(
-        factory,
-        merge_threshold=int(manifest["merge_threshold"]),
-        # Older snapshots predate the merge-strategy knob; they were written
-        # by the global-rebuild implementation, so that is what they resume.
-        merge_strategy=str(manifest.get("merge_strategy", "rebuild")),
-        split_threshold=float(
-            manifest.get("split_threshold", DEFAULT_SPLIT_THRESHOLD)
-        ),
-    )
+    index = DeltaBufferedIndex(factory, merge_threshold=int(manifest["merge_threshold"]))
     index._index = wrapped
     workload_path = path / _WORKLOAD_PICKLE
     if workload_path.exists():
@@ -318,7 +309,6 @@ def _save_sharded_index(index, path: Path) -> Path:
         "num_shards": len(shards),
         "shard_dimension": index.dimension,
         "boundaries": index.boundaries,
-        "parallelism": index.parallelism,
         "table_name": index.table.name,
         "shard_dirs": [_shard_dirname(position) for position in range(len(shards))],
     }
@@ -333,6 +323,8 @@ def _save_sharded_index(index, path: Path) -> Path:
 def _load_sharded_index(path: Path, mmap_mode: str | None):
     from repro.core.sharding import ShardedIndex
 
+    # Older manifests may also carry ``parallelism``; shards are now served
+    # serially, so it is ignored.
     manifest = _read_manifest(path, _SHARDED_MANIFEST)
     shards = [
         load_index(path / subdir, mmap_mode=mmap_mode)
@@ -346,7 +338,6 @@ def _load_sharded_index(path: Path, mmap_mode: str | None):
         shards,
         dimension=manifest["shard_dimension"],
         boundaries=manifest["boundaries"],
-        parallelism=int(manifest["parallelism"]),
         table_name=manifest["table_name"],
     )
 

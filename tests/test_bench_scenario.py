@@ -64,6 +64,12 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="typo_knob"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("key", ["parallelism", "merge_strategy", "split_threshold"])
+    def test_removed_index_options_rejected_as_unknown(self, key):
+        raw = scenario_raw(indexes=[{"kind": "tsunami", "variant": "sharded", key: 1}])
+        with pytest.raises(ConfigError, match=key):
+            parse_config(raw)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="kind"):
             parse_config(scenario_raw(kind="mystery"))

@@ -141,6 +141,17 @@ class TestDriftLoop:
         assert report.drifts_detected == 1
         assert report.reoptimizations == 0
 
+    def test_events_stamped_where_their_window_closed(self, fresh_table, fresh_workload):
+        window = 32
+        index = build_delta(fresh_table, fresh_workload)
+        manager = LifecycleManager(
+            index, LifecycleConfig(observe_window=window, reoptimize_on_drift=False)
+        )
+        manager.run_batch(novel_queries(4 * window))
+        drifts = [event for event in manager.report().events if event.kind == "drift"]
+        assert [event.at_query for event in drifts] == [window, 2 * window, 3 * window, 4 * window]
+        assert manager.report().queries_served == 4 * window
+
     def test_non_tsunami_base_records_drift_only(self, fresh_table, fresh_workload):
         index = build_delta(
             fresh_table, fresh_workload, factory=lambda: KdTreeIndex(page_size=512)

@@ -1,12 +1,16 @@
-"""Tests for localized structural updates (repro.core.local_merge, PR 10).
+"""Tests for localized structural updates (repro.core.local_merge).
 
-The local merge path must be observationally identical to the legacy
-whole-index rebuild: same query answers, same merged column dtypes, same
-sorted row multiset — only the amount of work differs.  These tests pin
-that equivalence on fixed streams, on hypothesis-generated interleavings
-(including dtype-overflow and far-out-of-domain inserts), and across a
-persistence round trip.
+The local merge path must be observationally identical to the whole-index
+rebuild (the path bases without a region layout take): same query answers,
+same merged column dtypes, same sorted row multiset — only the amount of
+work differs.  These tests pin that equivalence on fixed streams, on
+hypothesis-generated interleavings (including dtype-overflow and
+far-out-of-domain inserts), and across persistence round trips, including
+snapshots written before merges picked their own path.
 """
+
+import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,12 +20,9 @@ from hypothesis import strategies as st
 from repro.baselines import KdTreeIndex
 from repro.common.errors import SchemaError
 from repro.core.delta import DeltaBufferedIndex
-from repro.core.local_merge import (
-    DEFAULT_SPLIT_THRESHOLD,
-    local_merge,
-    supports_local_merge,
-)
+from repro.core.local_merge import local_merge, supports_local_merge
 from repro.core.outliers import OutlierBoundedMapping
+from repro.core.sharding import ShardedIndex
 from repro.core.tsunami import TsunamiConfig, TsunamiIndex
 from repro.query.engine import execute_full_scan
 from repro.query.query import Query
@@ -76,13 +77,18 @@ def probe_queries() -> list[Query]:
     return probes
 
 
+class RebuildingIndex(DeltaBufferedIndex):
+    """A delta index whose every merge calls the rebuild path directly."""
+
+    def merge(self):
+        return self._merge(local=False)
+
+
 def build_pair(table_seed: int = 3) -> tuple[DeltaBufferedIndex, DeltaBufferedIndex]:
-    """Two identical delta indexes differing only in merge strategy."""
+    """Two identical delta indexes: one merging locally, one rebuilding."""
     pair = []
-    for strategy in ("local", "rebuild"):
-        index = DeltaBufferedIndex(
-            tsunami_factory, merge_threshold=1_000_000, merge_strategy=strategy
-        )
+    for cls in (DeltaBufferedIndex, RebuildingIndex):
+        index = cls(tsunami_factory, merge_threshold=1_000_000)
         index.build(make_table(seed=table_seed), make_workload())
         pair.append(index)
     return pair[0], pair[1]
@@ -99,6 +105,13 @@ def assert_identical(local: DeltaBufferedIndex, rebuild: DeltaBufferedIndex) -> 
         right_values = np.sort(np.asarray(rebuild.base_index.table.values(name), dtype=np.int64))
         np.testing.assert_array_equal(left_values, right_values)
         assert local.base_index.table.column(name).dtype == rebuild.base_index.table.column(name).dtype
+
+
+def add_manifest_keys(path, **keys) -> None:
+    """Write ``keys`` into a snapshot manifest, as an older release would have."""
+    manifest = json.loads(path.read_text())
+    manifest.update(keys)
+    path.write_text(json.dumps(manifest))
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +186,6 @@ class TestLocalMerge:
         assert not supports_local_merge(index)
         index.build(make_table(), make_workload())
         assert supports_local_merge(index)
-
-    def test_invalid_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            DeltaBufferedIndex(tsunami_factory, merge_strategy="eager")
-        with pytest.raises(ValueError):
-            DeltaBufferedIndex(tsunami_factory, split_threshold=-0.5)
 
     def test_local_merge_matches_rebuild_on_fixed_stream(self):
         local, rebuild = build_pair()
@@ -265,10 +272,8 @@ class TestLocalMerge:
         ]
         workload = Workload(gap_queries)
         indexes = {}
-        for strategy in ("local", "rebuild"):
-            index = DeltaBufferedIndex(
-                tsunami_factory, merge_threshold=1_000_000, merge_strategy=strategy
-            )
+        for strategy, cls in (("local", DeltaBufferedIndex), ("rebuild", RebuildingIndex)):
+            index = cls(tsunami_factory, merge_threshold=1_000_000)
             index.build(Table.from_arrays("bimodal", dict(table)), workload)
             indexes[strategy] = index
         assert any(r.num_rows == 0 for r in indexes["local"].base_index._regions)
@@ -297,19 +302,19 @@ class TestLocalMerge:
             "y": (xs * 3).astype(np.int64),
             "z": rng.integers(0, 120, count).astype(np.int64),
         }
-        outcome = local_merge(index, buffer_columns, split_threshold=DEFAULT_SPLIT_THRESHOLD)
+        outcome = local_merge(index, buffer_columns)
         assert outcome.rows_merged == count
         assert outcome.regions_split >= 1
         assert outcome.regions_touched <= outcome.regions_total
 
     def test_explain_and_describe_report_strategy(self):
         local, _ = build_pair()
-        assert local.describe()["merge_strategy"] == "local"
-        assert local.describe()["split_threshold"] == DEFAULT_SPLIT_THRESHOLD
+        assert "merge_strategy" not in local.describe()
+        assert "split_threshold" not in local.describe()
         local.insert_many(make_rows(64, 61))
         local.merge()
         plan = local.explain(probe_queries()[0])
-        assert plan["merge_strategy"] == "local"
+        assert "merge_strategy" not in plan
         last = plan["last_merge"]
         assert last["strategy"] == "local"
         assert last["rows_merged"] == 64
@@ -317,16 +322,14 @@ class TestLocalMerge:
         described = local.describe()["last_merge"]
         assert described["strategy"] == "local"
 
-    def test_rebuild_escape_hatch(self):
-        index = DeltaBufferedIndex(
-            tsunami_factory, merge_threshold=1_000_000, merge_strategy="rebuild"
-        )
+    def test_rebuild_path_reports_no_regions(self):
+        index = RebuildingIndex(tsunami_factory, merge_threshold=1_000_000)
         index.build(make_table(), make_workload())
         index.insert_many(make_rows(32, 71))
         report = index.merge()
         assert report.strategy == "rebuild"
         assert report.regions_touched is None
-        assert index.describe()["merge_strategy"] == "rebuild"
+        assert index.describe()["last_merge"]["strategy"] == "rebuild"
 
     def test_non_tsunami_base_falls_back_to_rebuild(self):
         index = DeltaBufferedIndex(
@@ -422,8 +425,6 @@ class TestPersistenceAfterLocalMerge:
         save_index(local, tmp_path)
 
         loaded = load_index(tmp_path, mmap_mode="r")
-        assert loaded.merge_strategy == "local"
-        assert loaded.split_threshold == DEFAULT_SPLIT_THRESHOLD
         for name in local.base_index.table.column_names:
             np.testing.assert_array_equal(
                 loaded.base_index.table.values(name), local.base_index.table.values(name)
@@ -450,6 +451,62 @@ class TestPersistenceAfterLocalMerge:
         rebuild.merge()
         assert report.strategy == "local"
         assert_identical(loaded, rebuild)
+
+    @pytest.mark.parametrize("strategy", ["rebuild", "local"])
+    def test_old_delta_snapshot_loads_and_merges_locally(self, tmp_path, strategy):
+        """Manifests that still carry the removed merge options load as today's."""
+        local, rebuild = build_pair()
+        local.insert_many(make_rows(120, 95))
+        rebuild.insert_many(make_rows(120, 95))
+        save_index(local, tmp_path)
+        add_manifest_keys(
+            tmp_path / "delta.json", merge_strategy=strategy, split_threshold=0.25
+        )
+        loaded = load_index(tmp_path)
+        assert_identical(loaded, rebuild)
+        more = make_rows(150, 96)
+        loaded.insert_many(more)
+        rebuild.insert_many(more)
+        assert loaded.merge().strategy == "local"
+        rebuild.merge()
+        assert_identical(loaded, rebuild)
+
+    def test_old_sharded_snapshot_loads_and_merges_locally(self, tmp_path):
+        def make_sharded():
+            factory = partial(DeltaBufferedIndex, tsunami_factory, merge_threshold=1_000_000)
+            index = ShardedIndex(factory, num_shards=3, shard_dimension="x")
+            return index.build(make_table(), make_workload())
+
+        sharded, twin = make_sharded(), make_sharded()
+        rows = make_rows(200, 97)
+        sharded.insert_many(rows)
+        twin.insert_many(rows)
+        save_index(sharded, tmp_path)
+        add_manifest_keys(tmp_path / "sharded.json", parallelism=4)
+        for shard_dir in sorted(tmp_path.glob("shard_*")):
+            add_manifest_keys(
+                shard_dir / "delta.json", merge_strategy="rebuild", split_threshold=0.5
+            )
+        loaded = load_index(tmp_path)
+        probes = probe_queries()
+        expected = [twin.execute(query) for query in probes]
+        for query, want in zip(probes, expected):
+            got = loaded.execute(query)
+            assert got.value == want.value
+            assert got.stats.rows_matched == want.stats.rows_matched
+        reports = [report for report in loaded.merge() if report is not None]
+        assert reports and all(report.strategy == "local" for report in reports)
+        oracle = Table.from_arrays(
+            "oracle",
+            {
+                name: np.concatenate(
+                    [make_table().values(name), [row[name] for row in rows]]
+                ).astype(np.int64)
+                for name in ("x", "y", "z")
+            },
+        )
+        for query in probes:
+            assert loaded.execute(query).value == execute_full_scan(oracle, query)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +571,7 @@ class TestDifferentialProperties:
         seed=st.integers(0, 2**16),
     )
     def test_merged_index_matches_full_scan_oracle(self, rows, seed):
-        index = DeltaBufferedIndex(
-            tsunami_factory, merge_threshold=1_000_000, merge_strategy="local"
-        )
+        index = DeltaBufferedIndex(tsunami_factory, merge_threshold=1_000_000)
         table = make_table(seed=11)
         reference = {
             name: np.concatenate(

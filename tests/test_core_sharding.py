@@ -1,7 +1,8 @@
 """Tests for the scale-out serving layer (repro.core.sharding).
 
 The sharded index is a pure serving optimization: for every aggregate, every
-batch size, and every parallelism setting, its answers must be bit-identical
+batch size, and with or without the timeout-guarded worker pool, its answers
+must be bit-identical
 to the equivalent single index — including empty selections, queries pruned
 down to a subset of shards, and shards holding pending (unmerged) inserts.
 """
@@ -19,6 +20,7 @@ from repro.baselines.base import (
     combine_partial_results,
 )
 from repro.common.errors import IndexBuildError, QueryError, SchemaError
+from repro.common.resilience import FaultPolicy
 from repro.core.delta import DeltaBufferedIndex
 from repro.core.sharding import ShardedIndex, balanced_cuts
 from repro.core.tsunami import TsunamiConfig, TsunamiIndex
@@ -29,6 +31,8 @@ from repro.storage.scan import ScanStats
 from repro.storage.table import Table
 
 CONFIG = TsunamiConfig(optimizer_iterations=1)
+#: A shard timeout is what puts the fan-out on the worker pool.
+GUARDED = FaultPolicy(shard_timeout_seconds=30.0)
 
 
 def tsunami_factory():
@@ -244,12 +248,19 @@ class TestShardedDifferential:
         serial = ShardedIndex(tsunami_factory, num_shards=4, shard_dimension="x")
         serial.build(make_table(), workload)
         threaded = ShardedIndex(
-            tsunami_factory, num_shards=4, shard_dimension="x", parallelism=4
+            tsunami_factory, num_shards=4, shard_dimension="x", fault_policy=GUARDED
         )
         threaded.build(make_table(), workload)
-        for one, many in zip(threaded.execute_batch(queries), serial.execute_batch(queries)):
-            assert_same_value(one.value, many.value)
-            assert one.stats.points_scanned == many.stats.points_scanned
+        try:
+            for one, many in zip(
+                threaded.execute_batch(queries), serial.execute_batch(queries)
+            ):
+                assert_same_value(one.value, many.value)
+                assert one.stats.points_scanned == many.stats.points_scanned
+            assert threaded._pool is not None
+            assert serial._pool is None
+        finally:
+            threaded.close()
 
     def test_empty_batch(self, sharded_and_single):
         _, _, sharded = sharded_and_single
@@ -324,8 +335,6 @@ class TestShardedBuild:
     def test_invalid_configuration_rejected(self):
         with pytest.raises(IndexBuildError):
             ShardedIndex(tsunami_factory, num_shards=0)
-        with pytest.raises(IndexBuildError):
-            ShardedIndex(tsunami_factory, parallelism=-1)
 
     def test_unbuilt_index_refuses_to_serve(self):
         sharded = ShardedIndex(tsunami_factory)
@@ -479,7 +488,7 @@ class TestPoolShutdown:
     def test_close_shuts_down_the_worker_pool(self):
         queries = make_queries()
         sharded = ShardedIndex(
-            tsunami_factory, num_shards=4, shard_dimension="x", parallelism=4
+            tsunami_factory, num_shards=4, shard_dimension="x", fault_policy=GUARDED
         )
         sharded.build(make_table(), make_workload(queries))
         sharded.execute_batch(queries)  # spins up the lazy pool
@@ -497,13 +506,13 @@ class TestPoolShutdown:
     def test_close_is_idempotent_and_index_stays_usable(self):
         queries = make_queries()
         sharded = ShardedIndex(
-            tsunami_factory, num_shards=4, shard_dimension="x", parallelism=4
+            tsunami_factory, num_shards=4, shard_dimension="x", fault_policy=GUARDED
         )
         sharded.build(make_table(), make_workload(queries))
         before = [r.value for r in sharded.execute_batch(queries[:8])]
         sharded.close()
         sharded.close()  # idempotent, including with no pool ever created
-        # The next threaded batch lazily recreates the pool.
+        # The next timeout-guarded batch lazily recreates the pool.
         after = [r.value for r in sharded.execute_batch(queries[:8])]
         assert after == before
         assert sharded._pool is not None
@@ -512,7 +521,7 @@ class TestPoolShutdown:
     def test_context_manager_closes_pool(self):
         queries = make_queries()
         with ShardedIndex(
-            tsunami_factory, num_shards=4, shard_dimension="x", parallelism=4
+            tsunami_factory, num_shards=4, shard_dimension="x", fault_policy=GUARDED
         ) as sharded:
             sharded.build(make_table(), make_workload(queries))
             sharded.execute_batch(queries)

@@ -54,14 +54,10 @@ def make_queries() -> list[Query]:
     return queries
 
 
-def build_sharded(policy: FaultPolicy | None = None, parallelism: int = 0) -> ShardedIndex:
+def build_sharded(policy: FaultPolicy | None = None) -> ShardedIndex:
     table = make_table()
     index = ShardedIndex(
-        tsunami_factory,
-        num_shards=4,
-        shard_dimension="x",
-        parallelism=parallelism,
-        fault_policy=policy,
+        tsunami_factory, num_shards=4, shard_dimension="x", fault_policy=policy
     )
     index.build(table)
     return index
@@ -279,10 +275,11 @@ class TestTimeouts:
 
     def test_timeout_forces_pool_even_when_serial(self):
         policy = FaultPolicy(shard_timeout_seconds=5.0)
-        index = build_sharded(policy, parallelism=0)
+        index = build_sharded(policy)
         try:
             index.execute(Query.from_ranges({"x": (0, 10_000)}))
             assert index._pool is not None
+            assert index._pool._max_workers == len(index.shards)
         finally:
             index.close()
 

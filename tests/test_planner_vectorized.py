@@ -1,14 +1,14 @@
 """Differential tests: the vectorized planner vs the reference recursive planner.
 
-The vectorized planner (the default) must be indistinguishable from the
-original per-cell recursive enumeration: identical spans, identical order,
+``AugmentedGrid.plan`` must be indistinguishable from the original per-cell
+recursive enumeration (``AugmentedGrid.reference_spans``, the oracle kept
+beside it): identical spans, identical order,
 identical ``exact`` flags, on every skeleton shape (independent / mapped /
 conditional dimensions), partition vector, and query — including degenerate
 queries with empty or inverted windows.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -91,16 +91,12 @@ class TestDifferentialPlanning:
         skeleton, partitions, num_rows, table_seed, queries = case
         table = make_table(num_rows, table_seed)
         config = AugmentedGridConfig(skeleton=skeleton, partitions=partitions)
-        model_cache: dict = {}
-        vectorized = AugmentedGrid(config, planner="vectorized")
-        reference = AugmentedGrid(config, planner="reference")
-        vectorized.fit(table, model_cache=model_cache)
-        reference.fit(table, model_cache=model_cache)
+        grid = AugmentedGrid(config)
+        grid.fit(table)
         for query in queries:
-            spans_v, features_v = vectorized.plan(query)
-            spans_r, features_r = reference.plan(query)
-            assert spans_v == spans_r
-            assert features_v == features_r
+            spans, features = grid.plan(query)
+            assert spans == grid.reference_spans(query)
+            assert features.num_cell_ranges == len(spans)
 
     @settings(
         max_examples=15,
@@ -113,26 +109,15 @@ class TestDifferentialPlanning:
         skeleton, partitions, num_rows, table_seed, queries = case
         table = make_table(num_rows, table_seed)
         config = AugmentedGridConfig(skeleton=skeleton, partitions=partitions)
-        model_cache: dict = {}
         cached = AugmentedGrid(config, plan_cache=PlanCache())
-        reference = AugmentedGrid(config, planner="reference")
-        cached.fit(table, model_cache=model_cache)
-        reference.fit(table, model_cache=model_cache)
+        cached.fit(table)
         for query in queries * 2:  # second pass is all cache hits
             spans_c, _ = cached.plan(query)
-            spans_r, _ = reference.plan(query)
-            assert spans_c == spans_r
+            assert spans_c == cached.reference_spans(query)
         assert cached.plan_cache.stats.hits >= len(queries)
 
 
 class TestPlannerConfiguration:
-    def test_unknown_planner_rejected(self):
-        config = AugmentedGridConfig(
-            skeleton=Skeleton.all_independent(["a"]), partitions={"a": 2}
-        )
-        with pytest.raises(ValueError):
-            AugmentedGrid(config, planner="quantum")
-
     def test_fit_clears_plan_cache(self):
         table = make_table(400, seed=3)
         config = AugmentedGridConfig(

@@ -216,7 +216,6 @@ class TestWriteInvalidation:
             lambda: DeltaBufferedIndex(tsunami_factory, merge_threshold=40),
             num_shards=4,
             shard_dimension="x",
-            parallelism=2,
         )
         sharded.build(fresh_table, fresh_workload)
         probe = Query.from_ranges({"x": (4_000, 4_300)})
