@@ -6,13 +6,11 @@ tables and figures.
 * :mod:`repro.bench.experiments` — one driver per paper table/figure; the
   ``benchmarks/`` directory calls straight into these.
 * :mod:`repro.bench.scenario` — the declarative config schema behind
-  ``benchmarks/configs/`` (scenario / tracker / figure kinds).
+  ``benchmarks/configs/`` (scenario / figure kinds).
 * :mod:`repro.bench.workloads` — materializes a scenario's dataset, template
   pools, serving stream, and write schedule from its seed.
 * :mod:`repro.bench.runner` — :class:`ScenarioRunner`: drives every configured
   index through the serving stack and emits a schema-versioned report.
-* :mod:`repro.bench.trackers` — the five serving perf trackers (the thin
-  ``benchmarks/bench_*.py`` wrappers call these).
 * :mod:`repro.bench.cli` — ``python -m repro.bench.cli`` (experiments plus the
   ``run`` / ``validate`` / ``smoke`` config subcommands).
 """
@@ -31,7 +29,6 @@ from repro.bench.scenario import (
     FigureConfig,
     IndexConfig,
     ScenarioConfig,
-    TrackerConfig,
     WorkloadConfig,
     load_config,
     parse_config,
@@ -52,7 +49,6 @@ __all__ = [
     "FigureConfig",
     "IndexConfig",
     "ScenarioConfig",
-    "TrackerConfig",
     "WorkloadConfig",
     "load_config",
     "parse_config",

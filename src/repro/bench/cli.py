@@ -11,16 +11,15 @@ regeneration interface::
 and the config-driven scenario harness (PR 8)::
 
     python -m repro.bench.cli run benchmarks/configs/scenario_point_lookups.json
-    python -m repro.bench.cli run benchmarks/configs/tracker_updates.json --mode smoke
     python -m repro.bench.cli validate benchmarks/configs
     python -m repro.bench.cli smoke --configs benchmarks/configs --reports reports/
 
-``run`` executes one config (scenario, tracker, or figure) and prints its
-schema-versioned JSON report; a report with violations (or a tracker smoke
-gate failure) exits non-zero.  ``validate`` type-checks every config in a
-directory without running anything.  ``smoke`` is the CI entry point: it runs
-every smoke-tagged config in a directory, writes one report file per config,
-and fails if any config fails its gates.
+``run`` executes one config (scenario or figure) and prints its
+schema-versioned JSON report; a report with violations exits non-zero.
+``validate`` type-checks every config in a directory without running
+anything.  ``smoke`` is the CI entry point: it runs every smoke-tagged config
+in a directory, writes one report file per config, and fails if any config
+fails its gates.
 
 Each experiment prints the same plain-text table the corresponding benchmark
 in ``benchmarks/`` asserts on, so the CLI is the quickest way to regenerate a
@@ -127,7 +126,7 @@ def run_experiment(name: str, rows: int | None, queries: int | None) -> exp.Expe
 _SUBCOMMANDS = ("run", "validate", "smoke")
 
 
-def _run_figure(config, mode: str) -> dict:
+def _run_figure(config) -> dict:
     """Run a figure config's experiment driver; the plain-text table goes to
     stdout and the returned report carries it for the archive."""
     kwargs = dict(config.params)
@@ -144,28 +143,21 @@ def _run_figure(config, mode: str) -> dict:
         "kind": "figure",
         "name": config.name,
         "experiment": config.experiment,
-        "mode": mode,
         "result": {"name": result.name, "report": result.report, "data": result.data},
         "violations": [],
         "ok": True,
     }
 
 
-def _run_config(config, mode: str, seed: int | None) -> tuple[dict, list[str]]:
+def _run_config(config) -> tuple[dict, list[str]]:
     """Execute one parsed config; returns (report, gate failures)."""
     from repro.bench.runner import run_scenario
-    from repro.bench.scenario import FigureConfig, ScenarioConfig, TrackerConfig
-    from repro.bench.trackers import run_tracker
+    from repro.bench.scenario import ScenarioConfig
 
     if isinstance(config, ScenarioConfig):
         report = run_scenario(config)
         return report, list(report["violations"])
-    if isinstance(config, TrackerConfig):
-        report, failures = run_tracker(config, mode=mode, seed=seed)
-        return report, failures
-    if isinstance(config, FigureConfig):
-        return _run_figure(config, mode), []
-    raise ConfigError(f"cannot run config of type {type(config).__name__}")
+    return _run_figure(config), []
 
 
 def _write_report(report: dict, output: Path) -> None:
@@ -180,23 +172,14 @@ def _cmd_run(argv: list[str]) -> int:
     )
     parser.add_argument("config", type=Path, help="path to a *.json config")
     parser.add_argument(
-        "--mode",
-        choices=("smoke", "full"),
-        default="full",
-        help="tracker scale to run (scenario/figure configs run as written)",
-    )
-    parser.add_argument(
         "--output", type=Path, default=None, help="write the JSON report here"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="override the config's seed (trackers)"
     )
     args = parser.parse_args(argv)
 
     from repro.bench.scenario import load_config
 
     config = load_config(args.config)
-    report, failures = _run_config(config, args.mode, args.seed)
+    report, failures = _run_config(config)
     print(json.dumps(report, indent=2, default=str))
     if args.output is not None:
         _write_report(report, args.output)
@@ -267,7 +250,7 @@ def _cmd_smoke(argv: list[str]) -> int:
         ran += 1
         print(f"=== {path.name} ===", file=sys.stderr)
         try:
-            report, failures = _run_config(config, "smoke", None)
+            report, failures = _run_config(config)
         except Exception as exc:  # a crash must fail CI, not abort the matrix
             print(f"FAIL {path.name}: {exc!r}", file=sys.stderr)
             failed.append(path.name)

@@ -1,12 +1,12 @@
 """Declarative scenario configs: one JSON file per reproducible result.
 
-Every benchmark in this repository — the paper figures, the five serving
-perf trackers, and the survey-grade workload matrix — is described by a
-config file in ``benchmarks/configs/`` and reproduced with one command::
+Every config-driven benchmark in this repository — the paper figures and
+the survey-grade workload matrix — is described by a config file in
+``benchmarks/configs/`` and reproduced with one command::
 
     python -m repro.bench.cli run benchmarks/configs/<name>.json
 
-A config is one of three kinds:
+A config is one of two kinds:
 
 * ``"scenario"`` — the generic workload matrix: a dataset axis, a workload
   axis (read/write mix, point-lookup fraction, categorical hybrid
@@ -16,9 +16,6 @@ A config is one of three kinds:
   concurrent front-end).  Run by
   :class:`~repro.bench.runner.ScenarioRunner`, which verifies every answer
   against the full-scan oracle and emits a schema-versioned report.
-* ``"tracker"`` — one of the five serving perf trackers whose
-  ``BENCH_*.json`` shapes gate CI (``benchmarks/bench_*.py`` are thin
-  wrappers over these configs; see :mod:`repro.bench.trackers`).
 * ``"figure"`` — a paper table/figure regenerated through the experiment
   drivers in :mod:`repro.bench.experiments`.
 
@@ -67,9 +64,6 @@ INDEX_VARIANTS = ("plain", "delta", "sharded", "lifecycle", "served")
 
 #: Named drift schedules (see repro.bench.workloads.drift_phases).
 DRIFT_SCHEDULES = ("none", "step_shift", "rotating_hotspot")
-
-#: The five serving perf trackers (see repro.bench.trackers).
-TRACKER_NAMES = ("throughput", "updates", "shards", "serving", "faults")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -329,11 +323,6 @@ class ThresholdsConfig:
     """Smoke gates evaluated by the runner; violations fail CI."""
 
     require_correct: bool = True
-    min_queries_per_second: float | None = None
-    #: Gate: results[speedup_over] must not be faster than results[speedup_of].
-    speedup_of: str | None = None
-    speedup_over: str | None = None
-    min_speedup: float = 1.0
     #: Gate: bytes scanned per value read must stay at or below this ceiling
     #: (an all-int64 scan sits at exactly 8.0; 4.0 enforces a 2x dtype win).
     max_bytes_per_value: float | None = None
@@ -344,14 +333,7 @@ class ThresholdsConfig:
     #: fastest writer's rate in the same cell.
     min_relative_update_rate: float | None = None
 
-    def validate(self, index_names: Sequence[str]) -> None:
-        if self.speedup_of is not None or self.speedup_over is not None:
-            _require(
-                self.speedup_of in index_names and self.speedup_over in index_names,
-                f"thresholds.speedup_of/speedup_over must name configured "
-                f"indexes {list(index_names)}",
-            )
-            _require(self.min_speedup > 0, "thresholds.min_speedup must be > 0")
+    def validate(self) -> None:
         if self.max_bytes_per_value is not None:
             _require(
                 self.max_bytes_per_value > 0,
@@ -377,7 +359,6 @@ class ScenarioConfig:
     description: str = ""
     smoke: bool = False
     seed: int = 0
-    repetitions: int = 1
     verify: bool = True
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
@@ -387,7 +368,6 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         _require(bool(self.name), "scenario name must be non-empty")
-        _require(self.repetitions >= 1, "repetitions must be >= 1")
         _require(len(self.indexes) >= 1, "a scenario needs at least one index")
         self.dataset.validate()
         self.workload.validate(self.dataset)
@@ -404,15 +384,6 @@ class ScenarioConfig:
                     f"index {index.name!r} cannot absorb the read/write mix; "
                     "use variant delta/lifecycle/served or updatable shards",
                 )
-            if index.variant == "lifecycle" and self.repetitions != 1:
-                raise ConfigError(
-                    "lifecycle variants are stateful; repetitions must be 1"
-                )
-        if self.workload.writes is not None:
-            _require(
-                self.repetitions == 1,
-                "read/write scenarios are stateful; repetitions must be 1",
-            )
         if self.faults is not None:
             self.faults.validate()
             _require(
@@ -424,7 +395,7 @@ class ScenarioConfig:
                 "faulted scenarios serve degraded partial answers; set "
                 '"verify": false',
             )
-        self.thresholds.validate(names)
+        self.thresholds.validate()
 
     # -- (de)serialization ------------------------------------------------------
 
@@ -441,7 +412,6 @@ class ScenarioConfig:
                 "description",
                 "smoke",
                 "seed",
-                "repetitions",
                 "verify",
                 "dataset",
                 "workload",
@@ -539,10 +509,6 @@ class ScenarioConfig:
                 thresholds_raw,
                 [
                     "require_correct",
-                    "min_queries_per_second",
-                    "speedup_of",
-                    "speedup_over",
-                    "min_speedup",
                     "max_bytes_per_value",
                     "max_table_bytes_per_value",
                     "min_relative_update_rate",
@@ -556,7 +522,6 @@ class ScenarioConfig:
                 description=raw.get("description", ""),
                 smoke=bool(raw.get("smoke", False)),
                 seed=int(raw.get("seed", 0)),
-                repetitions=int(raw.get("repetitions", 1)),
                 verify=bool(raw.get("verify", True)),
                 dataset=dataset,
                 workload=workload,
@@ -585,76 +550,8 @@ class ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# Config files: loading, discovery, and the non-scenario kinds
+# Config files: loading, discovery, and the figure kind
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrackerConfig:
-    """One of the five serving perf trackers, config-driven.
-
-    ``scales`` holds the ``smoke`` and ``full`` parameter sets handed to the
-    tracker body in :mod:`repro.bench.trackers`; ``output`` is the historical
-    ``BENCH_*.json`` file name the full run writes at the repo root.
-    """
-
-    name: str
-    tracker: str
-    description: str = ""
-    smoke: bool = True
-    output: str = ""
-    seed: int | None = None
-    params: Mapping = field(default_factory=dict)
-    scales: Mapping[str, Mapping] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        _require(bool(self.name), "tracker config name must be non-empty")
-        _require(
-            self.tracker in TRACKER_NAMES,
-            f"tracker must be one of {TRACKER_NAMES}, got {self.tracker!r}",
-        )
-        _require(bool(self.output), "tracker config needs an output file name")
-        for mode in ("smoke", "full"):
-            _require(
-                mode in self.scales, f"tracker config is missing scales[{mode!r}]"
-            )
-
-    @classmethod
-    def from_dict(cls, raw: Mapping) -> "TrackerConfig":
-        _check_keys(
-            "tracker",
-            raw,
-            [
-                "schema_version",
-                "kind",
-                "name",
-                "tracker",
-                "description",
-                "smoke",
-                "output",
-                "seed",
-                "params",
-                "scales",
-            ],
-        )
-        version = raw.get("schema_version", SCHEMA_VERSION)
-        _require(
-            version == SCHEMA_VERSION,
-            f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})",
-        )
-        _require(raw.get("kind") == "tracker", "TrackerConfig requires kind 'tracker'")
-        config = cls(
-            name=raw.get("name", ""),
-            tracker=raw.get("tracker", ""),
-            description=raw.get("description", ""),
-            smoke=bool(raw.get("smoke", True)),
-            output=raw.get("output", ""),
-            seed=raw.get("seed"),
-            params=dict(raw.get("params", {})),
-            scales={mode: dict(value) for mode, value in raw.get("scales", {}).items()},
-        )
-        config.validate()
-        return config
 
 
 @dataclass(frozen=True)
@@ -718,11 +615,10 @@ class FigureConfig:
         return config
 
 
-AnyConfig = ScenarioConfig | TrackerConfig | FigureConfig
+AnyConfig = ScenarioConfig | FigureConfig
 
 _PARSERS = {
     "scenario": ScenarioConfig.from_dict,
-    "tracker": TrackerConfig.from_dict,
     "figure": FigureConfig.from_dict,
 }
 

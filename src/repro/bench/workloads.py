@@ -73,7 +73,7 @@ class ScenarioData:
 def _make_correlated_xyz(
     num_rows: int, domain: int, rng: np.random.Generator
 ) -> Table:
-    """The skewed x/y/z family every serving tracker uses: y tracks 3x."""
+    """The skewed x/y/z family: x uniform, y tracks 3x, z small."""
     x = rng.integers(0, domain, num_rows)
     y = x * 3 + rng.integers(-500, 501, num_rows)
     z = rng.integers(0, max(domain // 20, 2), num_rows)
@@ -124,7 +124,7 @@ def build_table(
 
 #: Width (in quantile space) of each template's placement region — templates
 #: concentrate on a slice of the data space, which is what makes the
-#: workloads skewed (mirrors the trackers' localized template pools).
+#: workloads skewed.
 _REGION_WIDTH = 0.25
 
 

@@ -20,9 +20,8 @@ the optimizer (§5.3) uses the same planning code on a data sample.
 once, expands the cross product of the *outer* dimensions with numpy stride
 arithmetic, and emits one coalesced span per outer-dimension prefix — cells
 consecutive in the innermost dimension occupy contiguous physical rows, so no
-per-cell Python work is needed.  :meth:`AugmentedGrid.reference_spans` is the
-original per-cell recursive enumeration; it produces identical spans and is
-kept only as the oracle for differential tests and planner benchmarks.
+per-cell Python work is needed.  The original per-cell recursive enumeration
+lives on only as the test suite's oracle (``tests/planner_oracle.py``).
 """
 
 from __future__ import annotations
@@ -103,14 +102,6 @@ class AugmentedGridConfig:
         for dim in self.skeleton.grid_dimensions:
             total *= self.partitions[dim]
         return total
-
-
-@dataclass
-class _CellHit:
-    """One intersecting cell during query planning."""
-
-    cell_id: int
-    exact: bool
 
 
 class AugmentedGrid:
@@ -474,7 +465,7 @@ class AugmentedGrid:
         innermost dimension's window then yields at most three spans per
         prefix — the two boundary cells and the exact interior run — because
         consecutive innermost cells are physically contiguous.  Output is
-        byte-identical to :meth:`reference_spans`.
+        byte-identical to the per-cell recursive enumeration.
         """
         assert self._offsets is not None
         offsets = self._offsets
@@ -607,61 +598,6 @@ class AugmentedGrid:
                 flags[first_index].tolist(),
             )
         )
-
-    def _enumerate_cells(self, query: Query) -> list[_CellHit]:
-        """All cells intersecting ``query``, with per-cell exactness flags."""
-        bounds = self._effective_bounds(query)
-        filtered_dims = set(query.filtered_dimensions)
-        # The exact-range optimization is only safe when every filtered
-        # dimension is constrained by the grid itself (mapped dimensions are
-        # not: their cells can contain rows outside the mapped filter).
-        exactness_possible = filtered_dims.issubset(set(self.grid_dimensions))
-
-        hits: list[_CellHit] = []
-
-        def recurse(position: int, cell_base: int, assignment: dict[str, int], exact: bool) -> None:
-            if position == len(self.grid_dimensions):
-                hits.append(_CellHit(cell_id=cell_base, exact=exact))
-                return
-            dim = self.grid_dimensions[position]
-            first, last = self._partition_window(dim, bounds, assignment)
-            if first > last:
-                return
-            stride = self._strides[dim]
-            query_filters_dim = dim in filtered_dims
-            for partition in range(first, last + 1):
-                # A partition strictly inside the window only contains values
-                # inside the filter range (CDF monotonicity), so it preserves
-                # exactness; boundary partitions may straddle the filter edge.
-                interior = first < partition < last
-                child_exact = exact and (not query_filters_dim or interior)
-                assignment[dim] = partition
-                recurse(position + 1, cell_base + partition * stride, assignment, child_exact)
-            del assignment[dim]
-
-        recurse(0, 0, {}, exactness_possible)
-        return hits
-
-    def reference_spans(self, query: Query) -> list[tuple[int, int, bool]]:
-        """The spans :meth:`plan` returns, by per-cell recursive enumeration.
-
-        The original planner, about 35x slower than :meth:`plan` and never
-        used for serving: it is the oracle that differential tests and the
-        planning benchmark compare the vectorized planner against.
-        """
-        self._require_fitted()
-        assert self._offsets is not None
-        spans: list[tuple[int, int, bool]] = []
-        for hit in sorted(self._enumerate_cells(query), key=lambda h: h.cell_id):
-            start = int(self._offsets[hit.cell_id])
-            stop = int(self._offsets[hit.cell_id + 1])
-            if stop <= start:
-                continue
-            if spans and spans[-1][1] == start and spans[-1][2] == hit.exact:
-                spans[-1] = (spans[-1][0], stop, hit.exact)
-            else:
-                spans.append((start, stop, hit.exact))
-        return spans
 
     def plan(self, query: Query) -> tuple[list[tuple[int, int, bool]], QueryPlanFeatures]:
         """Plan ``query``: relative row ranges plus cost-model features."""

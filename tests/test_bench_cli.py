@@ -111,16 +111,10 @@ class TestRunSubcommand:
 
     def test_run_exits_nonzero_on_violation(self, tmp_path, capsys):
         config = tmp_path / "floor.json"
-        raw = _tiny_scenario(thresholds={"min_queries_per_second": 1e12})
+        raw = _tiny_scenario(thresholds={"max_bytes_per_value": 0.01})
         config.write_text(json.dumps(raw))
         assert main(["run", str(config)]) == 1
         assert "FAILURE:" in capsys.readouterr().err
-
-    def test_run_tracker_in_smoke_mode(self, capsys):
-        path = REPO_CONFIGS / "tracker_planning.json"
-        assert main(["run", str(path), "--mode", "smoke"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["mode"] == "smoke"
 
 
 class TestSmokeSubcommand:
@@ -148,7 +142,7 @@ class TestSmokeSubcommand:
         configs = tmp_path / "configs"
         configs.mkdir()
         raw = _tiny_scenario(
-            name="smoke-bad", thresholds={"min_queries_per_second": 1e12}
+            name="smoke-bad", thresholds={"max_bytes_per_value": 0.01}
         )
         (configs / "bad.json").write_text(json.dumps(raw))
         assert main(["smoke", "--configs", str(configs)]) == 1

@@ -22,7 +22,6 @@ from repro.bench.runner import run_scenario, validate_report
 from repro.bench.scenario import (
     FigureConfig,
     ScenarioConfig,
-    TrackerConfig,
     load_config,
     parse_config,
     validate_directory,
@@ -122,16 +121,23 @@ class TestConfigSchema:
         config = parse_config(raw)
         assert config.dataset.dimension_sweep() == (3, 5)
 
-    def test_tracker_requires_both_scales(self):
-        raw = {
-            "kind": "tracker",
-            "name": "t",
-            "tracker": "faults",
-            "output": "BENCH_x.json",
-            "scales": {"smoke": {"num_rows": 1}},
-        }
-        with pytest.raises(ConfigError, match="full"):
+    def test_tracker_kind_rejected(self):
+        raw = {"kind": "tracker", "name": "t", "tracker": "faults"}
+        with pytest.raises(ConfigError, match="unknown config kind 'tracker'"):
             parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"repetitions": 3},
+            {"thresholds": {"min_queries_per_second": 1.0}},
+            {"thresholds": {"speedup_of": "kdtree", "speedup_over": "kdtree"}},
+            {"thresholds": {"min_speedup": 1.0}},
+        ],
+    )
+    def test_removed_options_rejected(self, overrides):
+        with pytest.raises(ConfigError, match="unknown keys"):
+            parse_config(scenario_raw(**overrides))
 
     def test_figure_rejects_unknown_experiment(self):
         raw = {"kind": "figure", "name": "f", "experiment": "fig99"}
@@ -150,21 +156,7 @@ class TestShippedConfigs:
         configs = validate_directory(CONFIG_DIR)
         assert len(configs) >= 15
         kinds = {type(config).__name__ for _, config in configs}
-        assert kinds == {"ScenarioConfig", "TrackerConfig", "FigureConfig"}
-
-    def test_tracker_configs_cover_all_five_bench_outputs(self):
-        outputs = {
-            config.output
-            for _, config in validate_directory(CONFIG_DIR)
-            if isinstance(config, TrackerConfig)
-        }
-        assert outputs == {
-            "BENCH_throughput.json",
-            "BENCH_updates.json",
-            "BENCH_shards.json",
-            "BENCH_serving.json",
-            "BENCH_faults.json",
-        }
+        assert kinds == {"ScenarioConfig", "FigureConfig"}
 
     def test_scenario_axes_are_all_covered(self):
         scenarios = [
@@ -300,24 +292,17 @@ class TestScenarioRunner:
 
     def test_oracle_catches_threshold_violation(self):
         raw = scenario_raw(
-            thresholds={"min_queries_per_second": 1e12},
+            thresholds={"max_bytes_per_value": 0.01},
         )
         report = run_scenario(parse_config(raw))
         assert report["ok"] is False
-        assert any("qps floor" in v for v in report["violations"])
+        assert any("bytes per value" in v and "kdtree" in v for v in report["violations"])
 
-    def test_relative_speedup_threshold(self):
-        raw = scenario_raw(
-            indexes=[{"kind": "kdtree"}, {"kind": "octree"}],
-            thresholds={
-                "speedup_of": "kdtree",
-                "speedup_over": "octree",
-                "min_speedup": 1e9,
-            },
-        )
+    def test_table_footprint_threshold(self):
+        raw = scenario_raw(thresholds={"max_table_bytes_per_value": 0.01})
         report = run_scenario(parse_config(raw))
         assert report["ok"] is False
-        assert any("x floor" in v and "kdtree" in v for v in report["violations"])
+        assert any("table stores" in v for v in report["violations"])
 
     def test_dimension_sweep_produces_one_cell_per_dimensionality(self):
         raw = scenario_raw(

@@ -1,8 +1,8 @@
 """Differential tests: the vectorized planner vs the reference recursive planner.
 
 ``AugmentedGrid.plan`` must be indistinguishable from the original per-cell
-recursive enumeration (``AugmentedGrid.reference_spans``, the oracle kept
-beside it): identical spans, identical order,
+recursive enumeration (``planner_oracle.reference_spans``, the oracle kept
+with the tests): identical spans, identical order,
 identical ``exact`` flags, on every skeleton shape (independent / mapped /
 conditional dimensions), partition vector, and query — including degenerate
 queries with empty or inverted windows.
@@ -11,6 +11,7 @@ queries with empty or inverted windows.
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from planner_oracle import reference_spans
 
 from repro.core.augmented_grid import AugmentedGrid, AugmentedGridConfig
 from repro.core.query_types import PlanCache
@@ -95,7 +96,7 @@ class TestDifferentialPlanning:
         grid.fit(table)
         for query in queries:
             spans, features = grid.plan(query)
-            assert spans == grid.reference_spans(query)
+            assert spans == reference_spans(grid, query)
             assert features.num_cell_ranges == len(spans)
 
     @settings(
@@ -113,7 +114,7 @@ class TestDifferentialPlanning:
         cached.fit(table)
         for query in queries * 2:  # second pass is all cache hits
             spans_c, _ = cached.plan(query)
-            assert spans_c == cached.reference_spans(query)
+            assert spans_c == reference_spans(cached, query)
         assert cached.plan_cache.stats.hits >= len(queries)
 
 
