@@ -273,8 +273,7 @@ class ClusteredIndex(ABC):
         :meth:`execute` per query.  Identical queries (skewed workloads repeat
         a small set of templates) are planned and scanned once per batch; the
         distinct remainder shares grid-tree routing (where the index overrides
-        :meth:`_ranges_for_queries`) and column gathers / filter masks inside
-        the executor.
+        :meth:`_ranges_for_queries`) and column gathers inside the executor.
         """
         if self._executor is None:
             raise IndexBuildError(f"{self.name} has not been built yet")

@@ -599,18 +599,22 @@ class AugmentedGrid:
             )
         )
 
-    def plan(self, query: Query) -> tuple[list[tuple[int, int, bool]], QueryPlanFeatures]:
-        """Plan ``query``: relative row ranges plus cost-model features."""
+    def _spans(self, query: Query) -> list[tuple[int, int, bool]]:
+        """Relative row ranges for ``query``, through the plan cache."""
         self._require_fitted()
         windows = self._window_table(query)
-        if self.plan_cache is not None:
-            key = self._plan_key(query, windows)
-            spans = self.plan_cache.get(key)
-            if spans is None:
-                spans = self._vectorized_spans(query, windows)
-                self.plan_cache.put(key, spans)
-        else:
+        if self.plan_cache is None:
+            return self._vectorized_spans(query, windows)
+        key = self._plan_key(query, windows)
+        spans = self.plan_cache.get(key)
+        if spans is None:
             spans = self._vectorized_spans(query, windows)
+            self.plan_cache.put(key, spans)
+        return spans
+
+    def plan(self, query: Query) -> tuple[list[tuple[int, int, bool]], QueryPlanFeatures]:
+        """Plan ``query``: relative row ranges plus cost-model features."""
+        spans = self._spans(query)
         features = QueryPlanFeatures(
             num_cell_ranges=len(spans),
             points_scanned=sum(stop - start for start, stop, _ in spans),
@@ -620,10 +624,9 @@ class AugmentedGrid:
 
     def ranges_for_query(self, query: Query, offset: int = 0) -> list[RowRange]:
         """Physical row ranges for ``query``, shifted by the region's ``offset``."""
-        spans, _ = self.plan(query)
         return [
             RowRange(offset + start, offset + stop, exact=exact)
-            for start, stop, exact in spans
+            for start, stop, exact in self._spans(query)
         ]
 
     # -- reporting ---------------------------------------------------------------------

@@ -573,7 +573,7 @@ class DeltaBufferedIndex:
 
         The batch is deduped into distinct templates; the main index plans and
         scans the whole batch once (sharing grid-tree routing, plan-cache
-        lookups, column slices, and filter masks), the buffer is scanned once
+        lookups, and column slices), the buffer is scanned once
         per distinct template, and the results are recombined per aggregate.
         Results are in input order and identical to per-query :meth:`execute`.
         """

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.common.errors import IndexBuildError, OptimizationError
 from repro.core.augmented_grid import AugmentedGrid
-from repro.core.query_types import PlanCache, cluster_query_types
+from repro.core.query_types import cluster_query_types
 from repro.core.tsunami import TsunamiIndex
 from repro.query.workload import Workload
 
@@ -190,12 +190,7 @@ class IncrementalReoptimizer:
             # Rebuild the grid with the index's serving configuration so a
             # re-optimized region keeps its plan cache (a fresh, empty cache:
             # the old spans address rows that this pass is about to move).
-            plan_cache = (
-                PlanCache(self.index.config.plan_cache_entries)
-                if self.index.config.plan_cache_entries > 0
-                else None
-            )
-            grid = AugmentedGrid(result.config, plan_cache=plan_cache)
+            grid = AugmentedGrid(result.config, plan_cache=self.index.new_plan_cache())
             relative_permutation = grid.fit(region_table)
             permutation[row_ids] = row_ids[relative_permutation]
             region.grid = grid
@@ -206,6 +201,7 @@ class IncrementalReoptimizer:
 
         if reoptimized:
             table.reorder(permutation)
+            self.index.invalidate_plan_memo()
             # Advance the comparison baseline only when re-optimization work
             # was actually performed.  Advancing it on a no-op pass would let
             # repeated sub-threshold shifts each reset the baseline and never

@@ -38,7 +38,9 @@ The merge runs in two phases:
    Regions that received no rows are not rewritten and keep their fitted
    grids *and their plan caches* — Augmented Grid plans are region-relative
    (offsets are applied after cache lookup), so shifting a region's
-   ``row_offset`` does not invalidate its cached plans.
+   ``row_offset`` does not invalidate its cached plans.  The index's
+   exact-query plan memo holds absolute row ranges across all regions, so
+   it is cleared on every merge.
 
 2. **Install** (plain assignments, nothing can fail): the merged table and
    executor replace the old ones, per-region offsets/grids are updated, and
@@ -61,7 +63,6 @@ import numpy as np
 from repro.common.errors import IndexBuildError, OptimizationError
 from repro.common.validation import narrowest_dtype
 from repro.core.augmented_grid import AugmentedGrid
-from repro.core.query_types import PlanCache
 from repro.core.tsunami import TsunamiIndex
 from repro.query.workload import Workload
 from repro.storage.column import Column, StorageMeta
@@ -257,11 +258,7 @@ def local_merge(
             # is never touched before phase 2) with a fresh, empty plan
             # cache: the old cached spans address the row order this merge is
             # about to rewrite.
-            plan_cache = (
-                PlanCache(index.config.plan_cache_entries)
-                if index.config.plan_cache_entries > 0
-                else None
-            )
+            plan_cache = index.new_plan_cache()
             grid = None
             if not overflow and region.grid is not None:
                 # Absorb: the region keeps its configuration, so the fitted
@@ -315,6 +312,11 @@ def local_merge(
     )
     index._table = merged_table
     index._executor = ScanExecutor(merged_table)
+    # Every merge shifts the row offsets of the regions after the first
+    # touched one, may fill regions that were empty, and may widen leaf
+    # bounds (which changes containment exactness), so no memoized query
+    # plan survives it.
+    index.invalidate_plan_memo()
     return LocalMergeResult(
         rows_merged=pending.num_rows,
         regions_touched=len(updates),

@@ -114,21 +114,37 @@ class PlanCacheStats:
         return self
 
 
+#: What an admitting cache stores on a key's first sighting (see
+#: :meth:`PlanCache.admit`).  ``False`` rather than a fresh ``object()`` so
+#: the marker survives pickling and ``copy.deepcopy``.
+_FIRST_SIGHTING = False
+
+
 class PlanCache:
-    """An LRU cache of query plans keyed by query type + quantized bounds.
+    """An LRU cache of query plans; Tsunami keeps it in two tiers.
 
-    Skewed workloads (§4) repeat a small set of query templates; two queries
-    whose predicate bounds quantize to the same per-dimension *partition
-    windows* visit exactly the same grid cells with the same exactness flags
-    (the CDF models are monotone, so every partition strictly inside a window
-    lies inside *any* filter range producing that window).  Caching the
-    planned spans under ``(query_type, filtered dimensions, windows)`` is
-    therefore lossless: a hit replays the identical plan, and scan-time
-    filtering still uses the live query's exact bounds.
+    * **Per region, keyed by quantized bounds** (one cache per
+      :class:`~repro.core.augmented_grid.AugmentedGrid`).  Skewed workloads
+      (§4) repeat a small set of query templates; two queries whose predicate
+      bounds quantize to the same per-dimension *partition windows* visit
+      exactly the same grid cells with the same exactness flags (the CDF
+      models are monotone, so every partition strictly inside a window lies
+      inside *any* filter range producing that window).  Caching the planned
+      spans under ``(query_type, filtered dimensions, windows)`` is therefore
+      lossless: a hit replays the identical plan, and scan-time filtering
+      still uses the live query's exact bounds.  Building the key still costs
+      the window computation.
+    * **Per index, keyed by the exact query** (the
+      :class:`~repro.core.tsunami.TsunamiIndex` plan memo).  A hit returns the
+      query's row ranges across all regions, skipping Grid Tree routing and
+      the window computation.  Entries go in through :meth:`admit`, so a query
+      seen once holds only a marker and never-repeated queries cannot crowd
+      the memory with plans.
 
-    The cache must be dropped whenever the physical layout changes (rebuild or
-    :meth:`~repro.core.tsunami.TsunamiIndex.reoptimize`): cached spans are
-    offsets into the clustered row order.
+    Both tiers must be dropped whenever the physical layout changes (rebuild,
+    :meth:`~repro.core.tsunami.TsunamiIndex.reoptimize`, a local merge or an
+    incremental re-optimization): cached spans are offsets into the clustered
+    row order.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
@@ -141,23 +157,36 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: tuple):
+    @property
+    def num_plans(self) -> int:
+        """Entries holding a plan (first-sighting markers excluded)."""
+        return sum(entry is not _FIRST_SIGHTING for entry in self._entries.values())
+
+    def get(self, key):
         """Return the cached plan for ``key``, or ``None`` on a miss."""
         entry = self._entries.get(key)
-        if entry is None:
+        if entry is None or entry is _FIRST_SIGHTING:
             self.stats.misses += 1
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
         return entry
 
-    def put(self, key: tuple, plan) -> None:
+    def put(self, key, plan) -> None:
         """Insert ``plan`` under ``key``, evicting the LRU entry when full."""
         self._entries[key] = plan
         self._entries.move_to_end(key)
         if len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
+
+    def admit(self, key, plan) -> None:
+        """Second-sighting admission: store ``plan`` only if ``key`` was seen.
+
+        The first call for a key stores a marker; a later call (while the
+        marker is still cached) stores the plan.
+        """
+        self.put(key, plan if key in self._entries else _FIRST_SIGHTING)
 
     def clear(self) -> None:
         """Drop every entry and reset the statistics (layout invalidation)."""

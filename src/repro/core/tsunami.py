@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -49,8 +50,9 @@ class TsunamiConfig:
     ``use_augmented_strategies=False`` yields the Grid-Tree-only variant
     (a Flood-style independent grid inside each region).
 
-    ``plan_cache_entries`` sizes the per-region plan cache (0 disables
-    caching).
+    ``plan_cache_entries`` bounds both plan-cache tiers (see
+    :class:`~repro.core.query_types.PlanCache`): each region's window-keyed
+    cache and the index's exact-query plan memo.  ``0`` disables both.
     """
 
     grid_tree: GridTreeConfig = field(default_factory=GridTreeConfig)
@@ -92,6 +94,28 @@ class TsunamiIndex(ClusteredIndex):
         self._region_configs: dict[int, AugmentedGridConfig | None] = {}
         self._region_results: dict[int, OptimizerResult | None] = {}
         self._regions: list[_RegionIndex] = []
+        self._plan_memo = self.new_plan_cache()
+
+    def __getstate__(self) -> dict:
+        # Snapshots and copies carry no memoized plans; they start a fresh
+        # memo (__setstate__), which also serves pickles older than the memo.
+        state = self.__dict__.copy()
+        del state["_plan_memo"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._plan_memo = self.new_plan_cache()
+
+    def new_plan_cache(self) -> PlanCache | None:
+        """An empty plan cache sized by the config (``None`` when disabled)."""
+        entries = self.config.plan_cache_entries
+        return PlanCache(entries) if entries > 0 else None
+
+    def invalidate_plan_memo(self) -> None:
+        """Forget every memoized query plan (the layout or routing changed)."""
+        if self._plan_memo is not None:
+            self._plan_memo.clear()
 
     # -- optimization (offline, §3) ----------------------------------------------
 
@@ -211,6 +235,7 @@ class TsunamiIndex(ClusteredIndex):
             regions = [self._whole_space_node(table)]
 
         self._regions = []
+        self.invalidate_plan_memo()
         chunks: list[np.ndarray] = []
         offset = 0
         for node in regions:
@@ -220,12 +245,7 @@ class TsunamiIndex(ClusteredIndex):
             grid: AugmentedGrid | None = None
             if len(row_ids) > 0 and config is not None:
                 region_table = table.subset(row_ids, name=f"{table.name}_r{region_id}")
-                plan_cache = (
-                    PlanCache(self.config.plan_cache_entries)
-                    if self.config.plan_cache_entries > 0
-                    else None
-                )
-                grid = AugmentedGrid(config, plan_cache=plan_cache)
+                grid = AugmentedGrid(config, plan_cache=self.new_plan_cache())
                 relative_permutation = grid.fit(region_table)
                 chunks.append(row_ids[relative_permutation])
             else:
@@ -249,7 +269,9 @@ class TsunamiIndex(ClusteredIndex):
     def _regions_by_id(self, region_ids: set[int]) -> list[_RegionIndex]:
         return [r for r in self._regions if r.node.region_id in region_ids]
 
-    def _region_ranges(self, query: Query, regions: list[_RegionIndex]) -> list[RowRange]:
+    def _region_ranges(
+        self, query: Query, regions: list[_RegionIndex]
+    ) -> tuple[RowRange, ...]:
         """Row ranges for ``query`` across the given (pre-routed) regions."""
         ranges: list[RowRange] = []
         for region in regions:
@@ -268,22 +290,10 @@ class TsunamiIndex(ClusteredIndex):
             ranges.extend(
                 region.grid.ranges_for_query(query, offset=region.row_offset)
             )
-        return ranges
+        return tuple(ranges)
 
-    def _ranges_for_query(self, query: Query) -> list[RowRange]:
-        if not self._regions:
-            raise IndexBuildError("Tsunami index has not been built")
-        if self.grid_tree is not None:
-            nodes = self.grid_tree.regions_for_query(query)
-            regions = self._regions_by_id({node.region_id for node in nodes})
-        else:
-            regions = self._regions
-        return self._region_ranges(query, regions)
-
-    def _ranges_for_queries(self, queries) -> list[list[RowRange]]:
-        """Batch planning: route every query through the Grid Tree in one pass."""
-        if not self._regions:
-            raise IndexBuildError("Tsunami index has not been built")
+    def _plan_queries(self, queries: Sequence[Query]) -> list[tuple[RowRange, ...]]:
+        """Route every query through the Grid Tree in one pass, then plan it."""
         if self.grid_tree is None:
             return [self._region_ranges(query, self._regions) for query in queries]
         routed = self.grid_tree.regions_for_queries(queries)
@@ -293,6 +303,31 @@ class TsunamiIndex(ClusteredIndex):
             )
             for query, nodes in zip(queries, routed)
         ]
+
+    def _ranges_for_query(self, query: Query) -> tuple[RowRange, ...]:
+        return self._ranges_for_queries([query])[0]
+
+    def _ranges_for_queries(self, queries: Sequence[Query]) -> list[tuple[RowRange, ...]]:
+        """Row ranges per query: memoized plans first, the rest planned together.
+
+        The plan memo maps an exact query to its (immutable) ranges, so a
+        repeated query skips routing and window computation entirely.
+        """
+        if not self._regions:
+            raise IndexBuildError("Tsunami index has not been built")
+        memo = self._plan_memo
+        if memo is None:
+            return self._plan_queries(queries)
+        ranges_per_query = [memo.get(query) for query in queries]
+        missing = [
+            position for position, ranges in enumerate(ranges_per_query) if ranges is None
+        ]
+        if missing:
+            planned = self._plan_queries([queries[position] for position in missing])
+            for position, ranges in zip(missing, planned):
+                memo.admit(queries[position], ranges)
+                ranges_per_query[position] = ranges
+        return ranges_per_query
 
     # -- adaptability (§6.4) ------------------------------------------------------------
 
@@ -312,9 +347,11 @@ class TsunamiIndex(ClusteredIndex):
     def plan_cache_stats(self) -> PlanCacheStats:
         """Aggregated plan-cache statistics across every region's grid.
 
-        Caches are recreated (empty, zeroed stats) whenever the index is
-        rebuilt or :meth:`reoptimize` re-organizes the layout, because cached
-        spans address the previous physical row order.
+        Covers the window-keyed region tier only; the exact-query memo in
+        front of it is reported by :meth:`plan_memo_stats`.  Caches are
+        recreated (empty, zeroed stats) whenever the index is rebuilt or
+        :meth:`reoptimize` re-organizes the layout, because cached spans
+        address the previous physical row order.
         """
         total = PlanCacheStats()
         for region in self._regions:
@@ -329,6 +366,14 @@ class TsunamiIndex(ClusteredIndex):
             for region in self._regions
             if region.grid is not None and region.grid.plan_cache is not None
         )
+
+    def plan_memo_stats(self) -> PlanCacheStats:
+        """Hit/miss accounting of the exact-query plan memo."""
+        return self._plan_memo.stats if self._plan_memo is not None else PlanCacheStats()
+
+    def plan_memo_entries(self) -> int:
+        """Number of queries whose row ranges the plan memo currently holds."""
+        return self._plan_memo.num_plans if self._plan_memo is not None else 0
 
     def index_size_bytes(self) -> int:
         total = self.grid_tree.size_bytes() if self.grid_tree is not None else 64

@@ -7,7 +7,7 @@ every index's answer to every query must equal the full-scan answer.
 :class:`QueryEngine` is the serving-path front door: it wraps a built index
 (or falls back to full scans) and exposes both single-query execution and the
 batched pipeline, which shares grid-tree routing, plan-cache lookups, column
-gathers, and filter masks across the queries of one batch.
+gathers, and whole scans of repeated queries across the queries of one batch.
 
 The engine accepts anything implementing the serving contract — ``is_built``,
 ``table``, ``execute``, ``execute_batch``, and ``explain`` — which every
@@ -97,7 +97,7 @@ class QueryEngine:
         """Answer ``queries`` in batches, in input order.
 
         ``batch_size`` bounds how many queries share one executor batch (and
-        therefore its slice/mask/result caches); ``None`` runs the whole
+        therefore its slice/result caches); ``None`` runs the whole
         sequence as a single batch.  Results are identical to calling
         :meth:`run` per query.
         """

@@ -182,6 +182,7 @@ class MicroBatcher:
             if not self._queue:
                 return None  # closed and drained
             idle_flush = False
+            started = time.monotonic()
             deadline = self._queue[0][0] + self.max_delay_seconds
             if self.idle_gap_seconds is not None:
                 # Give every batch at least one gap of collection time, even
@@ -191,19 +192,24 @@ class MicroBatcher:
                 # lets the batch grow to the full client count instead of
                 # locking into alternating half-sized cohorts.  Worst-case
                 # added latency is one gap on top of max_delay_seconds.
-                deadline = max(deadline, time.monotonic() + self.idle_gap_seconds)
+                deadline = max(deadline, started + self.idle_gap_seconds)
             while len(self._queue) < self.max_batch_size and not self._closed:
-                remaining = deadline - time.monotonic()
+                now = time.monotonic()
+                remaining = deadline - now
                 if remaining <= 0:
                     break
                 if self.idle_gap_seconds is None:
                     self._cond.wait(timeout=remaining)
                     continue
-                pending_before = len(self._queue)
-                self._cond.wait(timeout=min(remaining, self.idle_gap_seconds))
-                if len(self._queue) == pending_before and not self._closed:
+                # Idle once a gap has passed since the newest arrival (or
+                # since this take started, for items queued before it),
+                # measured from arrival stamps rather than in whole gaps.
+                newest = self._queue[-1][0] if self._queue else now
+                idle_at = max(newest, started) + self.idle_gap_seconds
+                if idle_at <= now:
                     idle_flush = True  # arrival stream paused: stop waiting
                     break
+                self._cond.wait(timeout=min(remaining, idle_at - now))
             count = min(len(self._queue), self.max_batch_size)
             batch = [self._queue.popleft()[1] for _ in range(count)]
             if self._closed:

@@ -168,36 +168,16 @@ class ScanExecutor:
         stop: int,
         filters: Mapping[str, tuple[int, int]],
         slice_cache: dict | None = None,
-        mask_cache: dict | None = None,
     ) -> np.ndarray:
         """Boolean mask of rows in ``[start, stop)`` matching every filter.
 
-        Inside a batch, queries of the same type scan the same merged ranges
-        with the same (or overlapping) predicates; the caches let those
-        queries reuse both the gathered column slices and the per-dimension
-        comparison masks instead of recomputing them.
+        Inside a batch, queries that scan the same range reuse the gathered
+        column slices (``slice_cache``).
         """
-        key = None
-        if mask_cache is not None:
-            key = (start, stop, tuple(sorted(filters.items())))
-            cached = mask_cache.get(key)
-            if cached is not None:
-                return cached
         mask = np.ones(stop - start, dtype=bool)
         for dim, (low, high) in filters.items():
-            dim_mask = None
-            dim_key = None
-            if mask_cache is not None:
-                dim_key = (start, stop, dim, low, high)
-                dim_mask = mask_cache.get(dim_key)
-            if dim_mask is None:
-                values = self._slice(dim, start, stop, slice_cache)
-                dim_mask = (values >= low) & (values <= high)
-                if mask_cache is not None:
-                    mask_cache[dim_key] = dim_mask
-            mask &= dim_mask
-        if mask_cache is not None:
-            mask_cache[key] = mask
+            values = self._slice(dim, start, stop, slice_cache)
+            mask &= (values >= low) & (values <= high)
         return mask
 
     def execute(
@@ -247,9 +227,8 @@ class ScanExecutor:
         aggregate: str,
         aggregate_column: str | None,
         slice_cache: dict | None = None,
-        mask_cache: dict | None = None,
     ) -> tuple[float, ScanStats]:
-        """Scan already-coalesced ranges; the caches are shared across a batch."""
+        """Scan already-coalesced ranges; ``slice_cache`` is shared across a batch."""
         stats = ScanStats(dims_accessed=len(filters))
         stats.cell_ranges = len(merged)
         filter_bytes_per_row = sum(self._itemsize(dim) for dim in filters)
@@ -282,7 +261,7 @@ class ScanExecutor:
                 stats.points_scanned += length
                 stats.values_scanned += length * len(filters)
                 stats.bytes_scanned += length * filter_bytes_per_row
-                mask = self._filter_mask(start, stop, filters, slice_cache, mask_cache)
+                mask = self._filter_mask(start, stop, filters, slice_cache)
                 matched = fused_count(mask)
                 count += matched
                 stats.rows_matched += matched
@@ -323,14 +302,11 @@ class ScanExecutor:
         """Execute a batch of queries with shared physical work.
 
         Results are returned in input order and are identical to calling
-        :meth:`execute` per query.  The batch path shares three caches across
+        :meth:`execute` per query.  The batch path shares two caches across
         the queries:
 
         * column slices gathered per merged range (one gather serves every
           query that scans the range),
-        * per-dimension and conjunctive filter masks (skewed workloads repeat
-          predicates, so boundary-range filtering is paid once per distinct
-          predicate instead of once per query),
         * whole results for queries whose merged ranges, filters, and
           aggregation coincide (common-subexpression elimination across the
           batch; duplicated queries still report their full logical
@@ -350,7 +326,6 @@ class ScanExecutor:
             raise QueryError("aggregate specs must match the number of queries")
 
         slice_cache: dict = {}
-        mask_cache: dict = {}
         result_cache: dict = {}
         results: list[tuple[float, ScanStats]] = []
         for ranges, filters, aggregate, aggregate_column in zip(
@@ -369,8 +344,7 @@ class ScanExecutor:
                 value, stats = cached
             else:
                 value, stats = self._execute_merged(
-                    merged, filters, aggregate, aggregate_column,
-                    slice_cache, mask_cache,
+                    merged, filters, aggregate, aggregate_column, slice_cache
                 )
                 result_cache[key] = (value, stats)
             results.append((value, stats.copy()))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from plan_memo_stacks import MemoStacks
 
 from repro.common.errors import IndexBuildError
 from repro.core.incremental import IncrementalReoptimizer, RegionShift
@@ -158,3 +159,32 @@ class TestReoptimization:
                 region.row_offset : region.row_offset + region.num_rows
             ]
             assert np.array_equal(after, rows_before[region.node.region_id])
+
+
+class TestPlanMemoInvalidation:
+    """Re-optimizing drops every memoized plan; answers match a full scan."""
+
+    @staticmethod
+    def stacks(table, workload) -> MemoStacks:
+        arrays = {name: np.asarray(table.values(name)) for name in table.column_names}
+        probes = list(workload)[:20] + list(shifted_workload(seed=78))[:20]
+        return MemoStacks(arrays, workload, probes)
+
+    def test_incremental_reoptimize(self, fresh_table, fresh_workload):
+        stacks = self.stacks(fresh_table, fresh_workload)
+        memoized = stacks.warm()
+        reports = [
+            IncrementalReoptimizer(index, shift_threshold=0.01).reoptimize(shifted_workload())
+            for index in stacks.tsunami_indexes
+        ]
+        assert reports[0].regions_reoptimized
+        assert stacks.stale_answers(memoized) > 0
+        stacks.assert_serves_full_scan()
+
+    def test_full_reoptimize(self, fresh_table, fresh_workload):
+        stacks = self.stacks(fresh_table, fresh_workload)
+        memoized = stacks.warm()
+        for index in stacks.tsunami_indexes:
+            index.reoptimize(shifted_workload())
+        assert stacks.stale_answers(memoized) > 0
+        stacks.assert_serves_full_scan()

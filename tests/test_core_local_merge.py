@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from plan_memo_stacks import MemoStacks
 
 from repro.baselines import KdTreeIndex
 from repro.common.errors import SchemaError
@@ -594,3 +595,56 @@ class TestDifferentialProperties:
         for query in probes:
             expected, _ = execute_full_scan(oracle, query)
             assert index.execute(query).value == expected
+
+
+# ---------------------------------------------------------------------------
+# Plan-memo invalidation (differential against a full scan)
+# ---------------------------------------------------------------------------
+
+
+def table_arrays(table: Table) -> dict[str, np.ndarray]:
+    return {name: np.asarray(table.values(name)) for name in table.column_names}
+
+
+class TestPlanMemoInvalidation:
+    """A local merge drops every memoized plan of the merged index."""
+
+    def test_merge_shifting_row_offsets(self):
+        stacks = MemoStacks(table_arrays(make_table()), make_workload(), probe_queries())
+        memoized = stacks.warm()
+        offsets = [region.row_offset for region in stacks.base._regions]
+        # Rows land in the lowest x regions only, so every later region moves.
+        stacks.insert_and_merge(make_rows(200, 61, x_low=0, x_high=300))
+        assert [region.row_offset for region in stacks.base._regions][-1] > offsets[-1]
+        assert stacks.stale_answers(memoized) > 0
+        stacks.assert_serves_full_scan()
+
+    def test_merge_widening_leaf_bounds_and_filling_an_empty_region(self):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.integers(0, 500, 1_500), rng.integers(90_000, 99_000, 1_500)])
+        arrays = {"x": x, "y": x * 3, "z": rng.integers(0, 100, 3_000)}
+        gap_queries = [
+            Query.from_ranges({"x": (40_000 + i * 500, 41_000 + i * 500), "z": (0, 50)})
+            for i in range(8)
+        ] + [Query.from_ranges({"x": (i * 50, i * 50 + 100), "z": (0, 50)}) for i in range(8)]
+        probes = gap_queries + [
+            Query.from_ranges({"x": (40_000, 45_000), "z": (0, 120)}),
+            Query.from_ranges({"x": (95_000, 10**13), "z": (0, 120)}),
+        ]
+        stacks = MemoStacks(arrays, Workload(gap_queries), probes)
+        memoized = stacks.warm()
+        empty = {region.node.region_id for region in stacks.base._regions if region.num_rows == 0}
+        edge_high = stacks.base._regions[-1].node.bounds["x"][1]
+        assert empty
+        # Gap rows fill empty regions, so the gap probes now reach a region
+        # their memoized plans skipped; out-of-domain rows widen the edge leaf.
+        stacks.insert_and_merge(
+            make_rows(120, 41, x_low=40_000, x_high=45_000)
+            + make_rows(30, 42, x_low=200_000, x_high=300_000)
+        )
+        assert any(
+            region.num_rows > 0 for region in stacks.base._regions if region.node.region_id in empty
+        )
+        assert stacks.base._regions[-1].node.bounds["x"][1] > edge_high
+        assert stacks.stale_answers(memoized) > 0
+        stacks.assert_serves_full_scan()

@@ -8,6 +8,9 @@ single wall-clock run.
 
 * planning: the vectorized planner plans at least as fast as the per-cell
   reference enumeration (``planner_oracle``);
+* plan memo (counters only): a third batch of repeated templates makes no
+  Grid Tree routing and no Augmented Grid planning call, and never-repeated
+  queries leave no plan in the memo;
 * delta: batched serving over a hot delta buffer beats per-query serving, and
   scans the buffer once per distinct template instead of once per query;
 * sustained inserts: local merges keep the insert rate within 2x from the
@@ -28,6 +31,7 @@ from __future__ import annotations
 import copy
 import statistics
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -39,6 +43,7 @@ from repro.common.faults import FaultPlan, FaultSpec
 from repro.common.resilience import FaultPolicy, RetryPolicy
 from repro.core.augmented_grid import AugmentedGrid, AugmentedGridConfig
 from repro.core.delta import DeltaBuffer, DeltaBufferedIndex
+from repro.core.grid_tree import GridTree
 from repro.core.sharding import ShardedIndex, scaled_tsunami_config
 from repro.core.skeleton import Skeleton
 from repro.core.tsunami import TsunamiConfig, TsunamiIndex
@@ -182,6 +187,54 @@ class TestPlanningGate:
             }
         )
         assert medians["reference"] / medians["vectorized"] >= 1.0
+
+
+class TestPlanMemoGate:
+    ROUTING_AND_PLANNING = (
+        (GridTree, "regions_for_queries"),
+        (GridTree, "regions_for_query"),
+        (AugmentedGrid, "ranges_for_query"),
+        (AugmentedGrid, "plan"),
+    )
+
+    def count_calls(self, monkeypatch) -> Counter:
+        calls: Counter = Counter()
+        for owner, name in self.ROUTING_AND_PLANNING:
+            real = getattr(owner, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_third_batch_of_repeated_templates_routes_and_plans_nothing(self, monkeypatch):
+        templates, stream = make_template_stream(24, BATCH_SIZE, seed=52, style="narrow")
+        index = tsunami()
+        index.build(make_linear_dataset("memo", 20_000, seed=51), templates)
+        warm = [index.execute_batch(stream) for _ in range(2)]
+        calls = self.count_calls(monkeypatch)
+        hits = index.plan_memo_stats().hits
+        third = index.execute_batch(stream)
+        monkeypatch.undo()
+
+        assert sum(calls.values()) == 0, dict(calls)
+        assert index.plan_memo_stats().hits - hits == len(set(stream))
+        assert [r.value for r in third] == [r.value for r in warm[0]]
+        assert [r.stats for r in third] == [r.stats for r in warm[0]]
+
+    def test_never_repeated_queries_leave_no_plan_in_the_memo(self):
+        templates, _ = make_template_stream(24, 1, seed=54, style="narrow")
+        fresh, _ = make_template_stream(4 * BATCH_SIZE, 1, seed=55, style="narrow")
+        fresh = list(fresh)
+        assert len(set(fresh)) == len(fresh)
+        index = tsunami()
+        index.build(make_linear_dataset("memo", 20_000, seed=53), templates)
+        for start in range(0, len(fresh), BATCH_SIZE):
+            index.execute_batch(fresh[start : start + BATCH_SIZE])
+        assert index.plan_memo_stats().misses == len(fresh)
+        assert index.plan_memo_entries() == 0
 
 
 class TestStorageIdentity:

@@ -17,6 +17,7 @@ import pytest
 from repro.baselines.base import QueryResult
 from repro.common.errors import (
     QueryError,
+    QueryTimeoutError,
     SchemaError,
     ServerClosedError,
     ServerOverloadedError,
@@ -276,8 +277,10 @@ class TestBackpressureAndShutdown:
         frontend = ServingFrontend(
             backend, ServingConfig(max_batch_size=1, cache_entries=0)
         )
-        with pytest.raises(ServingError):
-            frontend.query(Query.from_ranges({"x": (0, 1)}), timeout=0.05)
+        # Non-positive timeouts poll once, as ``threading.Event.wait`` does.
+        for timeout in (0.05, 0, -1):
+            with pytest.raises(QueryTimeoutError):
+                frontend.query(Query.from_ranges({"x": (0, 1)}), timeout=timeout)
         backend.release.set()
         frontend.close()
 

@@ -148,6 +148,50 @@ class TestIndexRoundTrip:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestPlanMemoSnapshots:
+    """Snapshots carry no memoized plans: a loaded index starts a fresh memo."""
+
+    @staticmethod
+    def build(table, workload) -> TsunamiIndex:
+        return TsunamiIndex(TsunamiConfig(optimizer_iterations=1)).build(table, workload)
+
+    @staticmethod
+    def assert_serves_and_memoizes(index: TsunamiIndex, queries: list[Query]) -> None:
+        expected = [execute_full_scan(index.table, query)[0] for query in queries]
+        for _ in range(3):
+            assert [result.value for result in index.execute_batch(queries)] == expected
+        assert index.plan_memo_entries() == len(set(queries))
+
+    def test_snapshot_of_a_warm_index_loads_with_an_empty_memo(
+        self, tmp_path, fresh_table, fresh_workload
+    ):
+        index = self.build(fresh_table, fresh_workload)
+        queries = list(fresh_workload)[:15]
+        for _ in range(2):
+            index.execute_batch(queries)
+        assert index.plan_memo_entries() > 0
+        save_index(index, tmp_path)
+        assert index.plan_memo_entries() > 0  # saving leaves the live memo alone
+        loaded = load_index(tmp_path)
+        assert loaded.plan_memo_entries() == 0
+        assert loaded.plan_memo_stats().hits == loaded.plan_memo_stats().misses == 0
+        self.assert_serves_and_memoizes(loaded, queries)
+
+    def test_snapshot_without_a_memo_attribute_loads(
+        self, tmp_path, fresh_table, fresh_workload, monkeypatch
+    ):
+        """A pickle from before the memo existed: no attribute, no state hooks."""
+        index = self.build(fresh_table, fresh_workload)
+        monkeypatch.delattr(TsunamiIndex, "__getstate__")
+        monkeypatch.delattr(TsunamiIndex, "__setstate__")
+        del index.__dict__["_plan_memo"]
+        save_index(index, tmp_path)
+        monkeypatch.undo()
+        loaded = load_index(tmp_path)
+        assert loaded.plan_memo_entries() == 0
+        self.assert_serves_and_memoizes(loaded, list(fresh_workload)[:15])
+
+
 class TestDeltaRoundTrip:
     """`save_index` on a DeltaBufferedIndex used to crash with AttributeError
     ('_table'), silently losing pending inserts; these tests pin the fix."""
